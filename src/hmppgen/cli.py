@@ -13,15 +13,15 @@ from .errors import (
     AnalysisError, CParseError, ExploreError, PlanError, ReportError,
     SourceError, TransformError,
 )
-from .explore import (
-    ExecutorSpec, Measurement, parse_executor_config, run_exploration,
-)
+from .explore import ExecutorSpec, explore, parse_executor_config
 from .parser import parse_file
-from .report import emit_plot_data, parse_csv, speedup, write_csv
-from .transform import find_omp_blocks
+from .report import (
+    BASELINE_SIGNATURE_TEXT, emit_plot_data, parse_csv, speedup, write_csv,
+)
+from .transform import find_omp_blocks, region_warnings
 from .variants import (
     BASELINE, DEFAULT_VARIANT_CAP, FlagSet, Signature, UnitVariant,
-    VariantPlan, decode_signature, enumerate_variants, plans_for_unit,
+    VariantPlan, decode_signature,
 )
 
 
@@ -39,51 +39,17 @@ def _parse_blocks_filter(text: str | None) -> set[int] | None:
                           "numbers, got %r" % text)
 
 
-def _block_plan_lists(unit, blocks, selected_lines, group_probe):
-    """Per-block plan lists in block order: fixed pins, check enumerates,
-    anything else (or unselected) stays baseline."""
-    out = []
-    for b in blocks:
-        if selected_lines is not None and b.line not in selected_lines:
-            out.append([VariantPlan.of(b.block_id, BASELINE)])
-            continue
-        eligible = group_probe.get(b.block_id, False)
-        out.append(enumerate_variants(b.block_id, b.pragma, eligible))
-    return out
-
-
-def _group_eligibility(unit, blocks) -> dict[int, bool]:
-    """A block may enumerate group variants only when at least two kernels
-    could share accelerator state."""
-    from .context import form_groups
-    probe_flags = {b.block_id: FlagSet(advancedload=True, group=True)
-                   for b in blocks if b.annotated}
-    ga = form_groups(unit, blocks, probe_flags)
-    out = {}
-    for b in blocks:
-        a = ga.get(b.block_id)
-        out[b.block_id] = a is not None and len(a.block_ids) >= 2
-    return out
-
-
-def _region_warnings(blocks) -> list[str]:
-    seen = []
-    for b in blocks:
-        if b.region is not None and (b.region.pragma.check or
-                                     b.region.pragma.fixed is not None):
-            msg = ("warning: check/fixed on the parallel region at line %d "
-                   "is not enumerable; annotate the inner for blocks"
-                   % b.region.line)
-            if msg not in seen:
-                seen.append(msg)
-    return seen
+def _parse_unit(path: str):
+    """Parses the input and prints its region warnings once."""
+    unit = parse_file(path)
+    blocks = find_omp_blocks(unit)
+    for w in region_warnings(blocks, unit.filename):
+        _err(w)
+    return unit, blocks
 
 
 def cmd_transform(args) -> int:
-    unit = parse_file(args.input)
-    blocks = find_omp_blocks(unit)
-    for w in _region_warnings(blocks):
-        _err(w)
+    unit, blocks = _parse_unit(args.input)
     selected = _parse_blocks_filter(args.blocks)
     out_dir = Path(args.out)
     stem = Path(args.input).stem
@@ -126,36 +92,21 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _measure(args, unit, blocks) -> tuple[list[Measurement], Path]:
-    out_dir = Path(args.out)
-    stem = Path(args.input).stem
-    selected = _parse_blocks_filter(args.blocks)
-    probe = _group_eligibility(unit, blocks)
-    block_plans = _block_plan_lists(unit, blocks, selected, probe)
-    unit_variants = plans_for_unit(block_plans, cap=args.cap)
-    rendered = [build_variant(unit, uv) for uv in unit_variants]
-    write_variants(rendered, stem, out_dir / "variants")
-    executor = (parse_executor_config(args.executor) if args.executor
-                else ExecutorSpec())
-    measurements = run_exploration(rendered, executor, repetitions=args.reps,
-                                   log_dir=out_dir / "logs")
-    return measurements, out_dir
-
-
 def cmd_explore(args) -> int:
-    unit = parse_file(args.input)
-    blocks = find_omp_blocks(unit)
-    for w in _region_warnings(blocks):
-        _err(w)
+    unit, blocks = _parse_unit(args.input)
+    out_dir = Path(args.out)
     if args.replay:
         measurements = parse_csv(Path(args.replay).read_text(encoding="utf-8"))
-        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     else:
         if not any(b.annotated for b in blocks):
             _err("error: explore needs at least one check or fixed block")
             return 2
-        measurements, out_dir = _measure(args, unit, blocks)
+        executor = (parse_executor_config(args.executor) if args.executor
+                    else ExecutorSpec())
+        measurements = explore(unit, out_dir, executor, repetitions=args.reps,
+                               cap=args.cap,
+                               lines=_parse_blocks_filter(args.blocks))
     csv_text = write_csv(measurements)
     (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
     _summarize(measurements, out_dir, args.ops, args.baseline)
@@ -174,8 +125,10 @@ def cmd_report(args) -> int:
 
 
 def _summarize(measurements, out_dir, ops, baseline_sig):
-    baseline_text = Signature.parse(baseline_sig).render() if baseline_sig \
-        else "0, 0, 0"
+    # a composite signature names one plan per check block: a,b,c|d,e,f
+    baseline_text = " | ".join(
+        Signature.parse(part).render() for part in baseline_sig.split("|")) \
+        if baseline_sig else BASELINE_SIGNATURE_TEXT
     result = emit_plot_data(measurements, out_dir, op_count=ops,
                             baseline_signature=baseline_text)
     base = result["baseline"]
@@ -216,7 +169,8 @@ def main(argv=None) -> int:
     e.add_argument("--reps", type=int, default=5)
     e.add_argument("--cap", type=int, default=DEFAULT_VARIANT_CAP)
     e.add_argument("--ops", type=float, help="operation count for GOPS/W")
-    e.add_argument("--baseline", help="baseline signature, e.g. '0,0,0'")
+    e.add_argument("--baseline", help="baseline signature, e.g. '0,0,0', "
+                                      "or '0,0,0|0,0,0' for two check blocks")
     e.add_argument("--replay", help="reuse a recorded CSV instead of running")
     e.add_argument("--blocks", help="comma-separated pragma line numbers")
     e.set_defaults(fn=cmd_explore)

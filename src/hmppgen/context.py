@@ -194,20 +194,6 @@ def _codelet_resolution(unit: SourceUnit, k: Kernel) -> Resolution:
 # queries
 
 
-def infer_io_direction(symbol: str, kernel: str, table: ContextTable) -> str:
-    """in / out / inout from the kernel's own accesses of the symbol."""
-    reads = writes = False
-    for ev in table.of(symbol):
-        if ev.host.kernel == kernel:
-            reads |= ev.kind in ("read", "addr")
-            writes |= ev.kind == "write"
-    if reads and writes:
-        return "inout"
-    if writes:
-        return "out"
-    return "in"
-
-
 def last_cpu_write_site(symbol: str, kernel: str,
                         table: ContextTable) -> InsertionPoint:
     """Point just after the last CPU write before the kernel, backtracking

@@ -221,15 +221,6 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
     blocks = find_omp_blocks(work)
     flags_by_block = {p.block_id: p.flags for p in uv.plans}
     diagnostics = []
-    for b in blocks:
-        if b.region is not None and (b.region.pragma.check or
-                                     b.region.pragma.fixed):
-            msg = ("check/fixed on a parallel region is not enumerable; "
-                   "annotate the inner for blocks instead (line %d)"
-                   % b.region.line)
-            if msg not in diagnostics:
-                diagnostics.append(msg)
-
     groups = form_groups(work, blocks, flags_by_block)
     kernels: list[Kernel] = []
     for b in blocks:
@@ -289,11 +280,6 @@ def _manifest_of(unit: SourceUnit) -> dict[str, int]:
             if isinstance(stmt, Block):
                 count(stmt.trailing_pragmas)
     return counts
-
-
-def emit_variant(unit: SourceUnit, uv: UnitVariant) -> RenderedVariant:
-    """Pure rendering entry point: same input, byte-identical output."""
-    return build_variant(unit, uv)
 
 
 def write_variants(rendered: list[RenderedVariant], stem: str,

@@ -1,4 +1,5 @@
-"""Executing variants and aggregating median time and energy.
+"""The sweep: enumerating the plan space, executing variants and
+aggregating median time and energy.
 
 Two executor modes: `shell` builds and runs each variant through user
 command templates, sampling a cumulative watt-hour counter around the
@@ -22,14 +23,19 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .context import TransferPlan
+from .context import TransferPlan, form_groups
 from .errors import ExploreError
 from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
-    FunctionDef, If, Index, Name, Num, Paren, Return, Stmt, Str, Unary, While,
-    walk_stmts,
+    FunctionDef, If, Index, Name, Num, Paren, Return, SourceUnit, Stmt, Str,
+    Unary, While, walk_exprs, walk_stmts,
 )
-from .emit import RenderedVariant
+from .emit import RenderedVariant, build_variant, write_variants
+from .transform import find_omp_blocks
+from .variants import (
+    BASELINE, DEFAULT_VARIANT_CAP, FlagSet, VariantPlan, enumerate_variants,
+    plans_for_unit,
+)
 
 ELEM_BYTES = {"int": 4, "float": 4, "double": 8}
 
@@ -242,7 +248,7 @@ def static_ops(stmt: Stmt, env: dict[str, float]) -> float:
             else:
                 header = expr_ops(s.cond)
             trips = loop_trips(s, env)
-            return trips * (header + walk_body(s.body))
+            return trips * (header + walk(s.body))
         if isinstance(s, Block):
             return total + sum(walk(c) for c in s.stmts)
         if isinstance(s, If):
@@ -254,9 +260,6 @@ def static_ops(stmt: Stmt, env: dict[str, float]) -> float:
             if v is not None and s.expr.op == "=":
                 env[s.expr.target.ident] = v
         return total
-
-    def walk_body(body: Stmt) -> float:
-        return walk(body)
 
     return walk(stmt)
 
@@ -445,7 +448,7 @@ class _Replay:
 
     def run(self) -> SimResult:
         fn = self.table.fn if self.table else self.rv.unit.function("main")
-        self._run_block(fn.body)
+        self._run_stmt(fn.body)
         # asynchronous kernels missing a synchronize finish at program end
         for label in list(self.pending_async):
             self._finish_async(label)
@@ -517,8 +520,7 @@ class _Replay:
         self._run_actions("after", stmt)
 
     def _call_nodes(self, e: Expr):
-        from .transform import _expr_nodes
-        return [n for n in _expr_nodes(e) if isinstance(n, Call)]
+        return [n for n in walk_exprs(e) if isinstance(n, Call)]
 
     def _run_loop(self, stmt):
         trips = loop_trips(stmt, self.env)
@@ -613,9 +615,6 @@ class _Replay:
             for sym in downloads:
                 self.res.download(sym)
 
-    def _run_block(self, block: Block):
-        self._run_stmt(block)
-
 
 def simulate_variant(rv: RenderedVariant,
                      params: CostModelParams = CostModelParams()) -> SimResult:
@@ -629,8 +628,7 @@ def simulate_variant(rv: RenderedVariant,
         ops = static_ops(main.body, const_env(main))
         for stmt in walk_stmts(main.body):
             if isinstance(stmt, ExprStmt):
-                from .transform import _expr_nodes
-                for node in _expr_nodes(stmt.expr):
+                for node in walk_exprs(stmt.expr):
                     if isinstance(node, Call):
                         for f in unit.functions:
                             if f.name == node.func:
@@ -735,8 +733,13 @@ def _run_shell_variant(rv: RenderedVariant, spec: ExecutorSpec, reps: int,
     src.write_text(rv.source, encoding="utf-8")
     build_cmd = spec.build.format(file=str(src), exe=str(exe))
     log("build: %s" % build_cmd)
-    proc = subprocess.run(build_cmd, shell=True, capture_output=True,
-                          text=True, timeout=spec.timeout)
+    try:
+        proc = subprocess.run(build_cmd, shell=True, capture_output=True,
+                              text=True, timeout=spec.timeout)
+    except subprocess.TimeoutExpired:
+        log("build timeout")
+        return Measurement.failure(rv.name, rv.signature_text,
+                                   "build timeout after %gs" % spec.timeout)
     if proc.returncode != 0:
         log("build failed: %s" % proc.stderr.strip())
         return Measurement.failure(rv.name, rv.signature_text,
@@ -802,3 +805,40 @@ def run_exploration(variants: list[RenderedVariant], executor: ExecutorSpec,
             (logs / ("%s.log" % rv.filename_sig)).write_text(
                 "\n".join(log_lines) + "\n", encoding="utf-8")
     return out
+
+
+def block_plans(unit: SourceUnit,
+                lines: Optional[set[int]] = None) -> list[list[VariantPlan]]:
+    """Per-block plan lists in block order: `fixed` pins one plan, `check`
+    enumerates, anything else (or a block whose pragma line is not in
+    `lines`) stays baseline.  A block may enumerate group variants only
+    when the group probe puts it with at least one other kernel that could
+    share accelerator state."""
+    blocks = find_omp_blocks(unit)
+    probe = form_groups(unit, blocks, {
+        b.block_id: FlagSet(advancedload=True, group=True)
+        for b in blocks if b.annotated})
+    out = []
+    for b in blocks:
+        if lines is not None and b.line not in lines:
+            out.append([VariantPlan.of(b.block_id, BASELINE)])
+            continue
+        group = probe.get(b.block_id)
+        eligible = group is not None and len(group.block_ids) >= 2
+        out.append(enumerate_variants(b.block_id, b.pragma, eligible))
+    return out
+
+
+def explore(unit: SourceUnit, out_dir,
+            executor: Optional[ExecutorSpec] = None, repetitions: int = 5,
+            cap: int = DEFAULT_VARIANT_CAP,
+            lines: Optional[set[int]] = None) -> list[Measurement]:
+    """The whole sweep: enumerate the plan space, render every variant into
+    `out_dir/variants` (plus `manifest.txt`), execute each one with a log
+    in `out_dir/logs`, and return one Measurement per variant."""
+    out = Path(out_dir)
+    unit_variants = plans_for_unit(block_plans(unit, lines), cap=cap)
+    rendered = [build_variant(unit, uv) for uv in unit_variants]
+    write_variants(rendered, Path(unit.filename).stem, out / "variants")
+    return run_exploration(rendered, executor or ExecutorSpec(),
+                           repetitions=repetitions, log_dir=out / "logs")

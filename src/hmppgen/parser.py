@@ -37,6 +37,13 @@ _BINARY_LEVELS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS)
+               for op in ops}
+
+# Deepest statement/expression nesting accepted.  Every later stage walks
+# the tree recursively, and at this depth each still fits in Python's
+# default recursion limit of 1000 frames.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -44,6 +51,7 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.filename = filename
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -76,6 +84,13 @@ class _Parser:
     def error(self, msg: str, tok: Token | None = None):
         t = tok or self.peek()
         raise CParseError(msg, t.line, t.col, self.filename)
+
+    def descend(self):
+        """Enters one level of nesting; the caller lowers `depth` again."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("nesting deeper than %d levels is not supported"
+                       % MAX_NESTING)
 
     def check_supported(self):
         t = self.peek()
@@ -208,6 +223,12 @@ class _Parser:
         return block
 
     def parse_stmt(self) -> Stmt:
+        self.descend()
+        stmt = self.dispatch_stmt()
+        self.depth -= 1
+        return stmt
+
+    def dispatch_stmt(self) -> Stmt:
         self.check_supported()
         t = self.peek()
         if t.value == "{":
@@ -306,34 +327,58 @@ class _Parser:
         if t.kind == "PUNCT" and t.value in ASSIGN_OPS:
             if not _is_lvalue(left):
                 self.error("left side of %r is not assignable" % t.value, t)
+            self.descend()
             self.next()
-            return Assign(t.value, left, self.parse_assignment())
+            value = self.parse_assignment()
+            self.depth -= 1
+            return Assign(t.value, left, value)
         return left
 
-    def parse_binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        left = self.parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
-        while self.peek().kind == "PUNCT" and self.peek().value in ops:
-            op = self.next().value
-            right = self.parse_binary(level + 1)
-            left = BinOp(op, left, right)
+    def parse_binary(self, min_level: int) -> Expr:
+        """Precedence climbing: operators of one level associate left, and
+        a tighter operator on the right binds into the right operand.  Each
+        operator nests the chain built so far one level deeper."""
+        left = self.parse_unary()
+        nested = 0
+        while True:
+            t = self.peek()
+            level = _PRECEDENCE.get(t.value, -1) if t.kind == "PUNCT" else -1
+            if level < min_level:
+                break
+            self.descend()
+            nested += 1
+            self.next()
+            left = BinOp(t.value, left, self.parse_binary(level + 1))
+        self.depth -= nested
         return left
 
     def parse_unary(self) -> Expr:
+        self.descend()
         t = self.peek()
         if t.kind == "PUNCT" and t.value in ("-", "!", "*", "&", "++", "--"):
             self.next()
-            return Unary(t.value, self.parse_unary(), prefix=True)
-        return self.parse_postfix()
+            expr = Unary(t.value, self.parse_unary(), prefix=True)
+        else:
+            expr = self.parse_postfix()
+        self.depth -= 1
+        return expr
 
     def parse_postfix(self) -> Expr:
+        """Calls, subscripts and postfix ++/-- wrap the expression so far,
+        one nesting level each."""
         expr = self.parse_primary()
+        nested = 0
         while True:
             t = self.peek()
-            if t.value == "(" and isinstance(expr, Name):
-                self.next()
+            call = t.value == "(" and isinstance(expr, Name)
+            if not (call or t.value == "[" or
+                    (t.kind == "PUNCT" and t.value in ("++", "--"))):
+                self.depth -= nested
+                return expr
+            self.descend()
+            nested += 1
+            self.next()
+            if call:
                 args = []
                 if not self.accept(")"):
                     while True:
@@ -343,15 +388,11 @@ class _Parser:
                         self.expect(",")
                 expr = Call(expr.ident, args)
             elif t.value == "[":
-                self.next()
                 idx = self.parse_expr()
                 self.expect("]")
                 expr = Index(expr, idx)
-            elif t.kind == "PUNCT" and t.value in ("++", "--"):
-                self.next()
-                expr = Unary(t.value, expr, prefix=False)
             else:
-                return expr
+                expr = Unary(t.value, expr, prefix=False)
 
     def parse_primary(self) -> Expr:
         self.check_supported()
@@ -502,13 +543,3 @@ def strip_pragmas(unit: SourceUnit) -> SourceUnit:
             if isinstance(stmt, Block):
                 stmt.trailing_pragmas = []
     return out
-
-
-def has_pragmas(unit: SourceUnit) -> bool:
-    for fn in unit.functions:
-        if fn.pragmas:
-            return True
-        for stmt in walk_stmts(fn.body):
-            if stmt.pragmas or (isinstance(stmt, Block) and stmt.trailing_pragmas):
-                return True
-    return False

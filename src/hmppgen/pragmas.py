@@ -110,14 +110,6 @@ class OmpPragma:
             parts.append("fixed(%d, %d, %d)" % self.fixed)
         return " ".join(parts)
 
-    def without_clauses(self, drop_check_fixed: bool = True) -> "OmpPragma":
-        p = OmpPragma(kind=self.kind, shared=list(self.shared),
-                      private=list(self.private), reduction=self.reduction,
-                      check=False if drop_check_fixed else self.check,
-                      fixed=None if drop_check_fixed else self.fixed,
-                      line=self.line)
-        return p
-
 
 def _parse_id_list(cur: _Cursor) -> list[str]:
     cur.expect("(")

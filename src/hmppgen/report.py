@@ -16,6 +16,13 @@ CSV_HEADER = "Version/Measure,Signature,Time Expended(ms.),Energy Consumption(J.
 BASELINE_SIGNATURE_TEXT = "0, 0, 0"
 
 
+def is_baseline(signature_text: str) -> bool:
+    """The untransformed program: every `|`-separated part of the signature
+    (one per enumerated check block) is 0, 0, 0."""
+    return all(part.strip() == BASELINE_SIGNATURE_TEXT
+               for part in signature_text.split("|"))
+
+
 def _fmt(value: float) -> str:
     """Up to two fractional digits, trailing zeros trimmed."""
     text = "%.2f" % value
@@ -29,8 +36,7 @@ def write_csv(measurements: list[Measurement]) -> str:
         raise ReportError("no measurements to report")
 
     def key(m: Measurement):
-        baseline = m.signature_text == BASELINE_SIGNATURE_TEXT
-        return (0 if baseline else 1,
+        return (0 if is_baseline(m.signature_text) else 1,
                 m.time_ms if m.time_ms is not None else float("inf"))
 
     buf = io.StringIO()
@@ -124,8 +130,13 @@ def gops_per_watt(op_count: float, m: Measurement) -> float:
 
 def find_baseline(measurements: list[Measurement],
                   signature_text: str = BASELINE_SIGNATURE_TEXT) -> Measurement:
+    """The first successful row with `signature_text`; a baseline signature
+    matches the baseline of any number of blocks."""
+    baseline = is_baseline(signature_text)
     for m in measurements:
-        if m.signature_text == signature_text and not m.failed:
+        match = (is_baseline(m.signature_text) if baseline
+                 else m.signature_text == signature_text)
+        if match and not m.failed:
             return m
     raise ReportError("no baseline measurement with signature %r"
                       % signature_text)

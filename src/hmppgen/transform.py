@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .errors import TransformError
+from .errors import SourceError, TransformError
 from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
     FunctionDef, GlobalDecl, If, Index, Name, Num, Param, Paren, Return,
     SourceUnit, Stmt, Str, Symbol, Unary, VarDecl, While, child_stmts,
-    stmt_exprs, walk_stmts,
+    stmt_exprs, walk_exprs, walk_stmts,
 )
 from .parser import Resolution, resolve
 from .pragmas import HmppDirective, OmpPragma
@@ -95,6 +95,21 @@ def find_omp_blocks(unit: SourceUnit) -> list[OmpBlock]:
 
     for fn in unit.functions:
         visit(fn.body, fn, None)
+    return out
+
+
+def region_warnings(blocks: list[OmpBlock], filename: str) -> list[str]:
+    """One `file:line: warning` per parallel region that carries check or
+    fixed itself: only its inner `omp for` blocks can be enumerated."""
+    out = []
+    for b in blocks:
+        r = b.region
+        if r is not None and (r.pragma.check or r.pragma.fixed is not None):
+            msg = SourceError("warning: check/fixed on the parallel region is "
+                              "not enumerable; annotate the inner for blocks",
+                              r.line, None, filename).format()
+            if msg not in out:
+                out.append(msg)
     return out
 
 
@@ -537,7 +552,7 @@ def check_global_scope(codelet: CodeletDef, unit: SourceUnit) -> list[str]:
         return any(name in s for s in scope)
 
     def check_expr(e: Expr):
-        for node in _expr_nodes(e):
+        for node in walk_exprs(e):
             if isinstance(node, Name) and not visible(node.ident):
                 diags.append("codelet %s: identifier %r does not resolve to "
                              "a parameter or local" % (codelet.label, node.ident))
@@ -581,28 +596,18 @@ def check_global_scope(codelet: CodeletDef, unit: SourceUnit) -> list[str]:
     return diags
 
 
-def _expr_nodes(e: Expr):
-    yield e
-    if isinstance(e, Paren):
-        yield from _expr_nodes(e.inner)
-    elif isinstance(e, Index):
-        yield from _expr_nodes(e.base)
-        yield from _expr_nodes(e.index)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from _expr_nodes(a)
-    elif isinstance(e, BinOp):
-        yield from _expr_nodes(e.left)
-        yield from _expr_nodes(e.right)
-    elif isinstance(e, Unary):
-        yield from _expr_nodes(e.operand)
-    elif isinstance(e, Assign):
-        yield from _expr_nodes(e.target)
-        yield from _expr_nodes(e.value)
-
-
 # ---------------------------------------------------------------------------
 # inline phase
+
+
+def _calls(root: Stmt) -> Iterator[tuple[Stmt, Call]]:
+    """Every call under a statement subtree, paired with the statement whose
+    own expressions contain it."""
+    for stmt in walk_stmts(root):
+        for e in stmt_exprs(stmt):
+            for node in walk_exprs(e):
+                if isinstance(node, Call):
+                    yield stmt, node
 
 
 @dataclass
@@ -631,13 +636,8 @@ def _check_acyclic(unit: SourceUnit, targets: set[str]):
     fn_map = {f.name: f for f in unit.functions}
     edges = {}
     for name in targets:
-        callees = set()
-        for stmt in walk_stmts(fn_map[name].body):
-            for e in stmt_exprs(stmt):
-                for node in _expr_nodes(e):
-                    if isinstance(node, Call) and node.func in targets:
-                        callees.add(node.func)
-        edges[name] = callees
+        edges[name] = {call.func for _, call in _calls(fn_map[name].body)
+                       if call.func in targets}
     state: dict[str, int] = {}
 
     def dfs(n):
@@ -806,7 +806,7 @@ def _is_addressable(e: Expr) -> bool:
 
 
 def _calls_in(e: Expr, targets: set[str]) -> list[Call]:
-    return [n for n in _expr_nodes(e)
+    return [n for n in walk_exprs(e)
             if isinstance(n, Call) and n.func in targets]
 
 
@@ -878,11 +878,7 @@ def _inline_stmt(stmt: Stmt, state: _InlineState) -> list[Stmt]:
 
 
 def _has_target_calls(stmt: Stmt, state: _InlineState) -> bool:
-    for s in walk_stmts(stmt):
-        for e in stmt_exprs(s):
-            if _calls_in(e, state.targets):
-                return True
-    return False
+    return any(call.func in state.targets for _, call in _calls(stmt))
 
 
 def _inline_into_children(stmt: Stmt, state: _InlineState):
@@ -918,35 +914,6 @@ def _inline_block(block: Block, state: _InlineState):
     block.stmts = new_stmts
 
 
-def split_multi_call_expr(stmt: Stmt, unit: SourceUnit,
-                          targets: Optional[Iterable[str]] = None,
-                          start_index: int = 0) -> list[Stmt]:
-    """Splits a statement with several calls into per-call captures bound to
-    `_return_<y>` in left-to-right order plus a recombining statement."""
-    fn_map = {f.name: f for f in unit.functions}
-    names = set(targets) if targets is not None else set(fn_map)
-    if not isinstance(stmt, ExprStmt):
-        return [stmt]
-    stmt = copy.deepcopy(stmt)
-    calls = _calls_in(stmt.expr, names)
-    if not calls:
-        return [stmt]
-    out: list[Stmt] = []
-    y = start_index
-    for call in calls:
-        fn = fn_map[call.func]
-        rtype = fn.return_type
-        if rtype == "void":
-            local = _find_local_ret(fn.body)
-            rtype = local.elem_type if local is not None else "int"
-        ret = "_return_%d" % y
-        out.append(DeclStmt([VarDecl(ret, rtype, init=call)], rtype))
-        _substitute(stmt.expr, call, Name(ret))
-        y += 1
-    out.append(stmt)
-    return out
-
-
 def inline_calls_in_place(unit: SourceUnit,
                           targets: Iterable[str] | str = "all") -> InlineReport:
     """Inlines the named defined functions (or all of them) into their call
@@ -961,14 +928,8 @@ def inline_calls_in_place(unit: SourceUnit,
         if missing:
             raise TransformError("cannot inline undefined function(s): %s"
                                  % ", ".join(sorted(missing)))
-    called: set[str] = set()
-    for f in unit.functions:
-        for stmt in walk_stmts(f.body):
-            for e in stmt_exprs(stmt):
-                for node in _expr_nodes(e):
-                    if isinstance(node, Call):
-                        called.add(node.func)
-    selected &= called
+    selected &= {call.func for f in unit.functions
+                 for _, call in _calls(f.body)}
     if not selected:
         return InlineReport()
     _check_acyclic(unit, selected)
@@ -977,13 +938,8 @@ def inline_calls_in_place(unit: SourceUnit,
         if f.name not in selected:
             _inline_block(f.body, state)
 
-    remaining: set[str] = set()
-    for f in unit.functions:
-        for stmt in walk_stmts(f.body):
-            for e in stmt_exprs(stmt):
-                for node in _expr_nodes(e):
-                    if isinstance(node, Call):
-                        remaining.add(node.func)
+    remaining = {call.func for f in unit.functions
+                 for _, call in _calls(f.body)}
     fully = [f.name for f in unit.functions
              if f.name in selected and f.name not in remaining]
     unit.items = [it for it in unit.items
@@ -998,30 +954,20 @@ def inline_calls_in_place(unit: SourceUnit,
     return state.report
 
 
-def inline_calls(unit: SourceUnit,
-                 targets: Iterable[str] | str = "all") -> tuple[SourceUnit, InlineReport]:
-    """Pure-function form of inline_calls_in_place."""
-    out = copy.deepcopy(unit)
-    report = inline_calls_in_place(out, targets)
-    return out, report
-
-
 def kernel_path_targets(unit: SourceUnit, kernels: list[Kernel]) -> set[str]:
     """Defined functions reachable from codelet bodies; these must inline."""
     defined = {f.name for f in unit.functions}
     fn_map = {f.name: f for f in unit.functions}
     roots: set[str] = set()
     for k in kernels:
-        for stmt in walk_stmts(k.codelet.body):
-            for e in stmt_exprs(stmt):
-                for node in _expr_nodes(e):
-                    if isinstance(node, Call) and node.func not in MATH_BUILTINS:
-                        if node.func not in defined:
-                            raise TransformError(
-                                "codelet %s calls undeclared function %r, "
-                                "which cannot run on the accelerator"
-                                % (k.label, node.func), stmt.line)
-                        roots.add(node.func)
+        for stmt, call in _calls(k.codelet.body):
+            if call.func in MATH_BUILTINS:
+                continue
+            if call.func not in defined:
+                raise TransformError(
+                    "codelet %s calls undeclared function %r, which cannot "
+                    "run on the accelerator" % (k.label, call.func), stmt.line)
+            roots.add(call.func)
     closure = set()
     work = list(roots)
     while work:
@@ -1029,10 +975,6 @@ def kernel_path_targets(unit: SourceUnit, kernels: list[Kernel]) -> set[str]:
         if n in closure:
             continue
         closure.add(n)
-        for stmt in walk_stmts(fn_map[n].body):
-            for e in stmt_exprs(stmt):
-                for node in _expr_nodes(e):
-                    if isinstance(node, Call) and node.func in defined \
-                            and node.func not in MATH_BUILTINS:
-                        work.append(node.func)
+        work.extend(call.func for _, call in _calls(fn_map[n].body)
+                    if call.func in defined and call.func not in MATH_BUILTINS)
     return closure

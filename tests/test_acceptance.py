@@ -7,14 +7,16 @@ from pathlib import Path
 
 from hmppgen.cli import main as cli_main
 from hmppgen.emit import build_variant
-from hmppgen.explore import median, simulate_variant, wh_to_joules
+from hmppgen.explore import (
+    block_plans, median, simulate_variant, wh_to_joules,
+)
 from hmppgen.parser import parse_file, parse_translation_unit, strip_pragmas
 from hmppgen.printer import print_unit
 from hmppgen.report import (
     TradeoffPoint, find_baseline, gops_per_watt, pareto_frontier, parse_csv,
     speedup, write_csv,
 )
-from hmppgen.transform import find_omp_blocks, inline_calls
+from hmppgen.transform import find_omp_blocks, inline_calls_in_place
 from hmppgen.variants import (
     BASELINE, FlagSet, Signature, UnitVariant, VariantPlan, decode_signature,
     encode_signature, enumerate_variants, feasible_flag_sets,
@@ -61,7 +63,8 @@ def test_criterion_1_golden_transformations():
                               load("table3.golden.c"))
     table5 = build("table5.c", {1: (11, 3, 0), 2: (11, 3, 0)}).source
     assert structurally_equal(table5, load("table5.golden.c"))
-    inlined, _ = inline_calls(parse_file(DATA / "table9.c"), "all")
+    inlined = parse_file(DATA / "table9.c")
+    inline_calls_in_place(inlined, "all")
     assert structurally_equal(print_unit(inlined), load("table9.golden.c"))
 
     lines = table5.splitlines()
@@ -79,11 +82,9 @@ def test_criterion_1_golden_transformations():
     assert time.perf_counter() - started < 1.0, "runtime under one second"
 
 
-def _erasure_check(tmp_path, prog, eligible):
+def _erasure_check(tmp_path, prog):
     unit = parse_file(DATA / prog)
-    blocks = find_omp_blocks(unit)
-    lists = [enumerate_variants(b.block_id, b.pragma, eligible)
-             for b in blocks]
+    lists = block_plans(unit)
     ref = cc_run(load(prog), tmp_path, "ref_" + Path(prog).stem)
     count = 0
     for i, combo in enumerate(itertools.product(*lists)):
@@ -100,16 +101,17 @@ def _erasure_check(tmp_path, prog, eligible):
 @verdict(2, "directive-erasure equivalence")
 def test_criterion_2_directive_erasure(tmp_path):
     started = time.perf_counter()
-    n_gemm = _erasure_check(tmp_path, "gemm64.c", eligible=False)
+    n_gemm = _erasure_check(tmp_path, "gemm64.c")
     assert n_gemm == 22
-    n_jacobi = _erasure_check(tmp_path, "jacobi128.c", eligible=True)
+    n_jacobi = _erasure_check(tmp_path, "jacobi128.c")
     assert n_jacobi == 43
     # the inline program: C++-flavoured original (reference parameter)
     # against the pure-C inlined output
     cpp_src = load("inline_run.c").replace(
         "int printf(", 'extern "C" int printf(')
     ref = cc_run(cpp_src, tmp_path, "inline_ref", compiler="g++")
-    inlined, _ = inline_calls(parse_file(DATA / "inline_run.c"), "all")
+    inlined = parse_file(DATA / "inline_run.c")
+    inline_calls_in_place(inlined, "all")
     out = cc_run(print_unit(strip_pragmas(inlined)), tmp_path, "inline_var")
     assert out == ref
     assert time.perf_counter() - started < 30.0, "runtime under 30 seconds"

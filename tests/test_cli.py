@@ -1,7 +1,11 @@
+import re
 import subprocess
 import sys
 
+import pytest
+
 from hmppgen.cli import main
+from hmppgen.parser import MAX_NESTING
 
 from conftest import DATA, load
 
@@ -52,8 +56,19 @@ def test_transform_fixed_block_and_untouched_region(tmp_path, capsys):
     assert "advancedload" in produced and "delegatedstore" in produced
     assert "#pragma omp parallel shared(myTableOut, myTable) check" in produced
     assert "#pragma omp for" in produced
-    assert "warning: check/fixed on the parallel region" in err
+    assert err.count("warning: check/fixed on the parallel region") == 1
+    assert "t2.c:5: warning: check/fixed on the parallel region" in err
     assert "wrote" in out
+
+
+def test_explore_region_warning_printed_once(tmp_path, capsys):
+    src = tmp_path / "t2.c"
+    src.write_text(TABLE2_LIKE.replace("fixed(10, 1, 0)", "check"))
+    code, out, err = run_cli(["explore", src, "--out", tmp_path / "o",
+                              "--reps", "1"], capsys)
+    assert code == 0, err
+    assert err.count("warning: check/fixed on the parallel region") == 1
+    assert "t2.c:5: warning: check/fixed on the parallel region" in err
 
 
 def test_transform_pragma_free_copies_unchanged(tmp_path, capsys):
@@ -173,6 +188,40 @@ def test_explore_replay_mode(tmp_path, capsys):
     assert csv_lines[1] == 'Original(OpenMP),"0, 0, 0",59500,17428'
 
 
+TWO_CHECKS = """int main() {
+    int i;
+    double A[16];
+    double B[16];
+    #pragma omp parallel for check
+    for (i = 0; i < 16; i++) {
+        A[i] = i * 2.0;
+    }
+    #pragma omp parallel for check
+    for (i = 0; i < 16; i++) {
+        B[i] = i + 1.0;
+    }
+    printf("%g %g\\n", A[3], B[3]);
+    return 0;
+}
+"""
+
+
+def test_explore_two_check_blocks_composite_baseline(tmp_path, capsys):
+    # disjoint arrays, so no group variants: 22 x 22 plans
+    src = tmp_path / "two.c"
+    src.write_text(TWO_CHECKS)
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(["explore", src, "--out", out_dir,
+                              "--reps", "1"], capsys)
+    assert code == 0, err
+    rows = (out_dir / "report.csv").read_text().splitlines()
+    assert len(rows) == 1 + 22 * 22
+    assert rows[1].startswith('Original(OpenMP),"0, 0, 0 | 0, 0, 0",')
+    for f in ("speedup.dat", "tradeoff.dat"):
+        assert (out_dir / f).exists()
+    assert "speedup Original(OpenMP) (0, 0, 0 | 0, 0, 0) 1" in out.splitlines()
+
+
 def test_explore_cap_exceeded(tmp_path, capsys):
     # two group-eligible check blocks blow the default cap
     src = tmp_path / "two.c"
@@ -212,6 +261,28 @@ def test_report_baseline_only_csv(tmp_path, capsys):
         ["speedup Original(OpenMP) (0, 0, 0) 1"]
 
 
+def test_report_composite_baseline_option(tmp_path, capsys):
+    csv = tmp_path / "two.csv"
+    csv.write_text("Version/Measure,Signature,Time Expended(ms.),"
+                   "Energy Consumption(J.)\n"
+                   'Codelet_Codelet__0_0_1__0_0_1,"0, 0, 1 | 0, 0, 1",50,40\n'
+                   'Original(OpenMP),"0, 0, 0 | 0, 0, 0",100,50\n')
+
+    def speedups(argv):
+        code, out, err = run_cli(["report", csv, "--out", tmp_path / "r"]
+                                 + argv, capsys)
+        assert code == 0, err
+        return [l.rsplit(" ", 1)[1] for l in out.splitlines()
+                if l.startswith("speedup")]
+
+    assert speedups([]) == ["2", "1"]
+    assert speedups(["--baseline", "0,0,0|0,0,0"]) == ["2", "1"]
+    assert speedups(["--baseline", "0,0,1|0,0,1"]) == ["1", "0.5"]
+    code, _, err = run_cli(["report", csv, "--out", tmp_path / "r",
+                            "--baseline", "0,0,0|0,0"], capsys)
+    assert code == 1 and "malformed signature" in err
+
+
 def test_report_missing_header_fails(tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text("nope\n1,2,3\n")
@@ -225,3 +296,47 @@ def test_cli_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "transform" in proc.stdout
+
+
+# -- nesting limit ----------------------------------------------------------------
+
+
+DEEP = """int main() {
+    int i, x;
+    double A[8];
+    #pragma omp parallel for check
+    for (i = 0; i < 8; i++) {
+        %s
+        A[i] = x;
+    }
+    printf("%%g\\n", A[1]);
+    return 0;
+}
+"""
+
+# Nesting levels count from main's body (0): the loop is level 1, its body 2
+# and `x = ...` 3; the assignment puts its value at 4 and the value's first
+# operand at 5, so each body below reaches level 5 + n.
+NESTED = {
+    "statements": lambda n: "{ " * n + "x = 1;" + " }" * n,
+    "parentheses": lambda n: "x = " + "(" * n + "1" + ")" * n + ";",
+    "chain": lambda n: "x = 1" + " + 1" * n + ";",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_nesting_limit(tmp_path, capsys, kind):
+    at_limit = tmp_path / "ok.c"
+    at_limit.write_text(DEEP % NESTED[kind](MAX_NESTING - 5))
+    code, _, err = run_cli(["explore", at_limit, "--out", tmp_path / "o",
+                            "--reps", "1"], capsys)
+    assert code == 0, err
+
+    too_deep = tmp_path / "deep.c"
+    too_deep.write_text(DEEP % NESTED[kind](MAX_NESTING - 4))
+    code, out, err = run_cli(["explore", too_deep, "--out", tmp_path / "d"],
+                             capsys)
+    assert code == 1
+    assert re.fullmatch(r"\S*deep\.c:6:\d+: nesting deeper than %d levels "
+                        r"is not supported\n" % MAX_NESTING, err), err
+    assert not (tmp_path / "d").exists()

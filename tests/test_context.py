@@ -2,8 +2,7 @@ import copy
 
 from hmppgen.context import (
     build_context_table, build_transfer_plan, dump_context, dump_plan,
-    first_cpu_read_site, form_groups, infer_io_direction, last_cpu_write_site,
-    load_point,
+    first_cpu_read_site, form_groups, last_cpu_write_site, load_point,
 )
 from hmppgen.nodes import DeclStmt, ExprStmt, For
 from hmppgen.parser import parse_translation_unit
@@ -63,11 +62,16 @@ def test_fig5_event_classification():
     assert ("read", "CPU") in c_kinds
 
 
+def io_of(kernel):
+    """The transfer direction outlining gave each codelet parameter."""
+    return {p.name: p.io for p in kernel.codelet.params}
+
+
 def test_fig5_io_directions():
     unit, kernels, table, _ = pipeline(FIG56_SRC, {1: FlagSet()})
-    label = kernels[0].label
-    assert infer_io_direction("A", label, table) == "in"
-    assert infer_io_direction("C", label, table) == "out"
+    io = io_of(kernels[0])
+    assert io["A"] == "in"
+    assert io["C"] == "out"
 
 
 def test_compound_assignment_reads_then_writes():
@@ -76,7 +80,7 @@ def test_compound_assignment_reads_then_writes():
     label = kernels[0].label
     kinds = {e.kind for e in table.of("result") if e.host.kernel == label}
     assert kinds == {"read", "write"}
-    assert infer_io_direction("result", label, table) == "inout"
+    assert io_of(kernels[0])["result"] == "inout"
 
 
 def test_last_cpu_write_site_straight_line():

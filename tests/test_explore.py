@@ -294,3 +294,17 @@ def test_shell_executor_records_build_fail48ure(tmp_path):
                         energy_cmd="sh %s" % meter)
     ms = run_exploration([rv], spec, repetitions=1, log_dir=tmp_path / "logs")
     assert ms[0].failed and "build" in ms[0].reason
+
+
+def test_shell_build_timeout_fails_only_its_row(tmp_path):
+    rv = make_variant("gemm64.c", {1: (0, 0, 0)})
+    meter = _meter(tmp_path)
+    spec = ExecutorSpec(mode="shell",
+                        build="sleep 2; gcc -O1 -w {file} -o {exe} -lm",
+                        run="{exe}", timeout=0.3,
+                        energy_cmd="sh %s" % meter)
+    ms = run_exploration([rv], spec, repetitions=1, log_dir=tmp_path / "logs")
+    assert len(ms) == 1
+    assert ms[0].failed and ms[0].reason == "build timeout after 0.3s"
+    log = (tmp_path / "logs" / ("%s.log" % rv.filename_sig)).read_text()
+    assert "build timeout" in log

@@ -6,15 +6,15 @@ import pytest
 from hmppgen.errors import TransformError
 from hmppgen.parser import parse_translation_unit
 from hmppgen.printer import print_unit
-from hmppgen.transform import inline_calls, split_multi_call_expr
+from hmppgen.transform import inline_calls_in_place
 
 from conftest import load, parse_fixture, structurally_equal
 
 
 def test_table9_matches_golden():
     unit = parse_fixture("table9.c")
-    out, report = inline_calls(unit, "all")
-    assert structurally_equal(print_unit(out), load("table9.golden.c"))
+    report = inline_calls_in_place(unit, "all")
+    assert structurally_equal(print_unit(unit), load("table9.golden.c"))
     assert report.inlined == ["f", "g"]
     assert report.markers == ["deletedFunctionBodyNamed_g",
                               "deletedFunctionBodyNamed_f"]
@@ -23,27 +23,28 @@ def test_table9_matches_golden():
 
 def test_table9_key_names_present():
     unit = parse_fixture("table9.c")
-    out, _ = inline_calls(unit, "all")
-    text = print_unit(out)
+    inline_calls_in_place(unit, "all")
+    text = print_unit(unit)
     for needle in ("_p_0_f_0", "_return_2", "ret_g3",
                    "int deletedFunctionBodyNamed_g = 1;",
                    "int deletedFunctionBodyNamed_f = 1;",
                    "int *_p_0_g_2 = &x;"):
         assert needle in text
-    assert len(out.functions) == 1  # f and g removed
+    assert len(unit.functions) == 1  # f and g removed
 
 
 def test_no_calls_is_a_fixpoint():
     unit = parse_translation_unit("int main() { int a = 1; return a; }")
-    out, report = inline_calls(unit, "all")
-    assert print_unit(out) == print_unit(unit)
+    before = print_unit(unit)
+    report = inline_calls_in_place(unit, "all")
+    assert print_unit(unit) == before
     assert report.inlined == [] and report.markers == []
 
 
 def test_fresh_names_have_no_duplicates():
     unit = parse_fixture("table9.c")
-    out, _ = inline_calls(unit, "all")
-    text = print_unit(out)
+    inline_calls_in_place(unit, "all")
+    text = print_unit(unit)
     decls = re.findall(r"\b(?:int|double|float)\s+\*?((?:_p_|_return_|ret_)\w+)",
                        text)
     counts = Counter(decls)
@@ -52,7 +53,7 @@ def test_fresh_names_have_no_duplicates():
 
 def test_y_strictly_increases():
     unit = parse_fixture("table9.c")
-    _, report = inline_calls(unit, "all")
+    report = inline_calls_in_place(unit, "all")
     ys = [y for _, y in report.call_indices]
     assert ys == sorted(ys) and len(set(ys)) == len(ys)
 
@@ -72,7 +73,7 @@ int main() {
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        inline_calls(unit, "all")
+        inline_calls_in_place(unit, "all")
     assert "recursive" in str(exc.value)
 
 
@@ -99,7 +100,7 @@ int main() {
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError):
-        inline_calls(unit, "all")
+        inline_calls_in_place(unit, "all")
 
 
 def test_early_return_is_rejected():
@@ -117,7 +118,7 @@ int main() {
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        inline_calls(unit, "all")
+        inline_calls_in_place(unit, "all")
     assert "tail return" in str(exc.value)
 
 
@@ -135,7 +136,7 @@ int main() {
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        inline_calls(unit, "all")
+        inline_calls_in_place(unit, "all")
     assert "addressable" in str(exc.value)
 
 
@@ -152,7 +153,7 @@ int main() {
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        inline_calls(unit, "all")
+        inline_calls_in_place(unit, "all")
     assert "expression" in str(exc.value)
 
 
@@ -167,27 +168,22 @@ int main() {
 }
 """
     unit = parse_translation_unit(src)
-    out, report = inline_calls(unit, "all")
-    text = print_unit(out)
+    inline_calls_in_place(unit, "all")
+    text = print_unit(unit)
     assert "_p_0_h_0" in text
     assert "deletedFunctionBodyNamed_h" in text
     assert "_return_" not in text
 
 
-# -- split_multi_call_expr -------------------------------------------------------
+# -- splitting multi-call expressions ----------------------------------------------
+# Each captured call gets a `_return_<y>` variable, declared in left-to-right
+# call order before the statement that recombines them.
 
 
-def split_fixture():
-    return parse_fixture("inline_run.c")
-
-
-def stmt_of(unit, needle):
-    from hmppgen.nodes import walk_stmts, ExprStmt
-    main = unit.function("main")
-    for s in walk_stmts(main.body):
-        if isinstance(s, ExprStmt) and needle in print_stmt(s):
-            return s
-    raise AssertionError("statement %r not found" % needle)
+def inlined_main(unit):
+    """Top-level statements of `main` after inlining everything, printed."""
+    inline_calls_in_place(unit, "all")
+    return [print_stmt(s) for s in unit.function("main").body.stmts]
 
 
 def print_stmt(s):
@@ -197,16 +193,24 @@ def print_stmt(s):
     return "\n".join(pr.lines)
 
 
+def capture_of(texts, y):
+    """The inlined block that assigns `_return_<y>`, right after its
+    declaration."""
+    block = texts[texts.index("int _return_%d;" % y) + 1]
+    assert block.splitlines()[-2].strip().startswith("_return_%d = " % y)
+    return block
+
+
 def test_split_three_calls():
-    unit = split_fixture()
-    stmt = stmt_of(unit, "l = f(1) + f(2) + g(x, 6)")
-    out = split_multi_call_expr(stmt, unit)
-    assert len(out) == 4
-    texts = [print_stmt(s) for s in out]
-    assert texts[0] == "int _return_0 = f(1);"
-    assert texts[1] == "int _return_1 = f(2);"
-    assert texts[2] == "int _return_2 = g(x, 6);"
-    assert texts[3] == "l = _return_0 + _return_1 + _return_2;"
+    texts = inlined_main(parse_fixture("inline_run.c"))
+    assert [t for t in texts if t.startswith("int _return_")] == \
+        ["int _return_%d;" % y for y in range(4)]
+    assert "ret_f0" in capture_of(texts, 0)
+    assert "ret_f1" in capture_of(texts, 1)
+    assert "ret_g2" in capture_of(texts, 2)
+    combine = texts.index("l = _return_0 + _return_1 + _return_2;")
+    assert texts.index("int _return_2;") < combine < \
+        texts.index("int _return_3;")
 
 
 def test_split_single_call():
@@ -219,11 +223,9 @@ int main() {
     return l;
 }
 """
-    unit = parse_translation_unit(src)
-    stmt = stmt_of(unit, "l = f(1)")
-    out = split_multi_call_expr(stmt, unit)
-    assert [print_stmt(s) for s in out] == ["int _return_0 = f(1);",
-                                            "l = _return_0;"]
+    texts = inlined_main(parse_translation_unit(src))
+    assert "ret_f0" in capture_of(texts, 0)
+    assert texts[-2:] == ["l = _return_0;", "return l;"]
 
 
 def test_split_preserves_left_to_right_call_order():
@@ -242,17 +244,12 @@ int main() {
     return l;
 }
 """
-    unit = parse_translation_unit(src)
-    stmt = stmt_of(unit, "l = g(x, 2) * f(1)")
-    out = split_multi_call_expr(stmt, unit)
-    texts = [print_stmt(s) for s in out]
-    assert texts[0].startswith("int _return_0 = g(")
-    assert texts[1].startswith("int _return_1 = f(")
-    assert texts[2] == "l = _return_0 * _return_1;"
+    texts = inlined_main(parse_translation_unit(src))
+    assert "ret_g0" in capture_of(texts, 0)
+    assert "ret_f1" in capture_of(texts, 1)
+    assert texts[-2] == "l = _return_0 * _return_1;"
 
 
 def test_split_no_calls_is_identity():
     unit = parse_translation_unit("int main() { int a = 1; a = a + 1; return a; }")
-    stmt = stmt_of(unit, "a = a + 1")
-    out = split_multi_call_expr(stmt, unit)
-    assert len(out) == 1
+    assert inlined_main(unit) == ["int a = 1;", "a = a + 1;", "return a;"]

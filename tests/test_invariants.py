@@ -6,21 +6,21 @@ import pytest
 
 from hmppgen.emit import build_variant
 from hmppgen.errors import PlanError
-from hmppgen.explore import simulate_variant
+from hmppgen.explore import block_plans, simulate_variant
 from hmppgen.parser import parse_file
 from hmppgen.transform import find_omp_blocks
-from hmppgen.variants import FlagSet, UnitVariant, enumerate_variants
+from hmppgen.variants import FlagSet, UnitVariant
 
 from conftest import DATA
 
 
 def all_variants(name, eligible):
-    """Every variant combination; files with several check blocks use the
-    diagonal (same flags on every block) to keep the space reviewable."""
+    """Every variant of the sweep's own plan space; files with several check
+    blocks use the diagonal (same flags on every block) to keep the space
+    reviewable.  `eligible` is the expected outcome of the group probe."""
     unit = parse_file(DATA / name)
-    blocks = find_omp_blocks(unit)
-    lists = [enumerate_variants(b.block_id, b.pragma, eligible)
-             for b in blocks]
+    lists = block_plans(unit)
+    assert any(p.flags.group for l in lists for p in l) == eligible
     check_lists = [l for l in lists if len(l) > 1]
     if len(check_lists) > 1:
         combos = []
