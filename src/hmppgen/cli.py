@@ -131,6 +131,8 @@ def _summarize(measurements, out_dir, ops, baseline_sig):
         if baseline_sig else BASELINE_SIGNATURE_TEXT
     result = emit_plot_data(measurements, out_dir, op_count=ops,
                             baseline_signature=baseline_text)
+    for w in result["warnings"]:
+        _err(w)
     base = result["baseline"]
     for p in result["frontier"]:
         sig = next((m.signature_text for m in measurements

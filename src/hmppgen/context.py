@@ -14,8 +14,8 @@ from typing import Optional
 
 from .errors import AnalysisError, PlanError
 from .nodes import (
-    Block, CallsiteStmt, DeclStmt, For, FunctionDef, SourceUnit, Stmt,
-    Symbol, While, walk_stmts,
+    CallsiteStmt, DeclStmt, For, FunctionDef, SourceUnit, Stmt, Symbol, While,
+    child_stmts, walk_stmts,
 )
 from .parser import Resolution, resolve
 from .transform import (
@@ -68,12 +68,6 @@ class ContextTable:
     def of(self, symbol: str) -> list[AccessEvent]:
         return self.events.get(symbol, [])
 
-    def callsite_of(self, label: str) -> CallsiteStmt:
-        for k in self.kernels:
-            if k.label == label:
-                return k.callsite
-        raise KeyError(label)
-
     def kernel_of(self, label: str) -> Kernel:
         for k in self.kernels:
             if k.label == label:
@@ -105,7 +99,8 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel]) -> ContextTable
 
     Codelet accesses surface at the callsite, attributed to the kernel;
     compound assignments yield a read then a write.  By-value scalar
-    arguments count as CPU reads at the call.
+    arguments count as CPU reads at the call.  The codelets must already
+    be in `unit` (`insert_codelets`): one resolution covers them all.
     """
     if not kernels:
         fn = unit.function("main") if any(
@@ -137,19 +132,13 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel]) -> ContextTable
             for a in stmt_accesses(stmt, res, unit):
                 table.add(AccessEvent(a.symbol.name, a.kind, s, stmt, CPU,
                                       tuple(loop_stack)))
-        if isinstance(stmt, (For, While)):
+        loop = isinstance(stmt, (For, While))
+        if loop:
             loop_stack.append(s)
-            if isinstance(stmt, For) and isinstance(stmt.init, DeclStmt):
-                visit(stmt.init)
-            visit(stmt.body)
+        for c in child_stmts(stmt):
+            visit(c)
+        if loop:
             loop_stack.pop()
-        elif isinstance(stmt, Block):
-            for c in stmt.stmts:
-                visit(c)
-        else:
-            from .nodes import child_stmts
-            for c in child_stmts(stmt):
-                visit(c)
 
     visit(fn.body)
     return table
@@ -161,9 +150,8 @@ def _record_kernel_events(table: ContextTable, k: Kernel, site: int,
     host = Host("GPU", k.label)
     stmt = k.callsite
     # facts per parameter, from the codelet body
-    kres = _codelet_resolution(unit, k)
     facts: dict[str, set[str]] = {}
-    for a in subtree_accesses(k.codelet.body, kres, unit):
+    for a in subtree_accesses(k.codelet.body, res, unit):
         facts.setdefault(a.symbol.name, set()).add(a.kind)
     for p, arg in zip(k.codelet.params, k.callsite.args):
         sym = p.caller_symbol
@@ -177,19 +165,6 @@ def _record_kernel_events(table: ContextTable, k: Kernel, site: int,
             table.add(AccessEvent(sym, "write", site, stmt, host, path))
 
 
-def _codelet_resolution(unit: SourceUnit, k: Kernel) -> Resolution:
-    for f in unit.functions:
-        if f.name == k.label:
-            res = resolve(unit)
-            return res
-    # codelet not inserted yet: resolve it through a scratch unit
-    import copy
-    scratch = copy.deepcopy(unit)
-    from .nodes import FunctionDef as FD
-    scratch.items.append(FD(k.label, "void", k.codelet.params, k.codelet.body))
-    return resolve(scratch)
-
-
 # ---------------------------------------------------------------------------
 # queries
 
@@ -199,7 +174,7 @@ def last_cpu_write_site(symbol: str, kernel: str,
     """Point just after the last CPU write before the kernel, backtracking
     out of loops that do not enclose the callsite; falls back to the
     declaration (or function start) when no write precedes."""
-    call = table.callsite_of(kernel)
+    call = table.kernel_of(kernel).callsite
     ks = table.site(call)
     kpath = table.path(call)
     last: Optional[AccessEvent] = None
@@ -229,7 +204,7 @@ def first_cpu_read_site(symbol: str, kernel: str,
     wrap-around consumer (it sees the value in the next iteration), so the
     store must stay right after the callsite, once per iteration.
     """
-    call = table.callsite_of(kernel)
+    call = table.kernel_of(kernel).callsite
     ks = table.site(call)
     kpath = table.path(call)
     for ev in table.of(symbol):
@@ -258,7 +233,7 @@ def _wrapping_cpu_write(symbol: str, kernel: str, table: ContextTable,
     """True when a CPU write of the symbol sits inside a loop that encloses
     the callsite but not the load anchor, so residency dies every
     iteration."""
-    call = table.callsite_of(kernel)
+    call = table.kernel_of(kernel).callsite
     kpath = set(table.path(call))
     anchor_path = set(table.path(anchor.anchor)) if anchor is not None else set()
     for ev in table.of(symbol):
@@ -291,7 +266,7 @@ def load_point(symbol: str, kernel: str,
     if address_disabled(symbol, table):
         return None
     anchor = last_cpu_write_site(symbol, kernel, table)
-    kpath = table.path(table.callsite_of(kernel))
+    kpath = table.path(table.kernel_of(kernel).callsite)
     apath = table.path(anchor.anchor)
     if len(kpath) > 0 and len(apath) >= len(kpath):
         return None
@@ -509,10 +484,6 @@ def build_transfer_plan(unit: SourceUnit, table: ContextTable,
     _plan_async(plan, table)
     _plan_releases(plan, table)
     return plan
-
-
-def _kernel_inputs(k: Kernel) -> list[str]:
-    return [p.caller_symbol for p in k.array_params if p.io in ("in", "inout")]
 
 
 def _kernel_outputs(k: Kernel) -> list[str]:

@@ -27,10 +27,10 @@ from .context import TransferPlan, form_groups
 from .errors import ExploreError
 from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
-    FunctionDef, If, Index, Name, Num, Paren, Return, SourceUnit, Stmt, Str,
-    Unary, While, walk_exprs, walk_stmts,
+    FunctionDef, If, Name, Num, Paren, Return, SourceUnit, Stmt, Str, Unary,
+    While, walk_exprs, walk_stmts,
 )
-from .emit import RenderedVariant, build_variant, write_variants
+from .emit import _PRIORITY, RenderedVariant, build_variant, write_variants
 from .transform import find_omp_blocks
 from .variants import (
     BASELINE, DEFAULT_VARIANT_CAP, FlagSet, VariantPlan, enumerate_variants,
@@ -154,22 +154,10 @@ def const_env(fn: FunctionDef) -> dict[str, float]:
     return env
 
 
-def expr_ops(e: Expr) -> int:
-    if isinstance(e, (Num, Str, Name)) or e is None:
-        return 0
-    if isinstance(e, Paren):
-        return expr_ops(e.inner)
-    if isinstance(e, Index):
-        return 1 + expr_ops(e.base) + expr_ops(e.index)
-    if isinstance(e, Call):
-        return 1 + sum(expr_ops(a) for a in e.args)
-    if isinstance(e, BinOp):
-        return 1 + expr_ops(e.left) + expr_ops(e.right)
-    if isinstance(e, Unary):
-        return 1 + expr_ops(e.operand)
-    if isinstance(e, Assign):
-        return 1 + expr_ops(e.target) + expr_ops(e.value)
-    return 0
+def expr_ops(e: Optional[Expr]) -> int:
+    """Operators, subscripts and calls in an expression (0 for None)."""
+    return sum(1 for n in walk_exprs(e)
+               if not isinstance(n, (Num, Str, Name, Paren)))
 
 
 def stmt_own_ops(stmt: Stmt) -> int:
@@ -188,10 +176,10 @@ def stmt_own_ops(stmt: Stmt) -> int:
 
 
 def loop_trips(stmt: Stmt, env: dict[str, float]) -> float:
-    """Statically folded trip count; 1 when the bounds do not fold."""
+    """Statically folded trip count of a for or while loop; 1 when the
+    bounds do not fold."""
+    var = start = None
     if isinstance(stmt, For):
-        var = None
-        start = None
         if isinstance(stmt.init, DeclStmt) and len(stmt.init.decls) == 1:
             var = stmt.init.decls[0].name
             if stmt.init.decls[0].init is not None:
@@ -199,33 +187,16 @@ def loop_trips(stmt: Stmt, env: dict[str, float]) -> float:
         elif isinstance(stmt.init, Assign) and isinstance(stmt.init.target, Name):
             var = stmt.init.target.ident
             start = fold_expr(stmt.init.value, env)
-        cond = stmt.cond
-        if isinstance(cond, Paren):
-            cond = cond.inner
-        if not (isinstance(cond, BinOp) and cond.op in ("<", "<=")):
-            return 1.0
-        if var is None and isinstance(cond.left, Name):
-            var = cond.left.ident
-            start = env.get(var)
-        if not (isinstance(cond.left, Name) and cond.left.ident == var):
-            return 1.0
-        stop = fold_expr(cond.right, env)
-        if start is None or stop is None:
-            return 1.0
-        trips = stop - start + (1 if cond.op == "<=" else 0)
-        return max(trips, 0.0)
-    if isinstance(stmt, While):
-        cond = stmt.cond
-        if isinstance(cond, Paren):
-            cond = cond.inner
-        if isinstance(cond, BinOp) and cond.op in ("<", "<=") \
-                and isinstance(cond.left, Name):
-            start = env.get(cond.left.ident)
-            stop = fold_expr(cond.right, env)
-            if start is not None and stop is not None:
-                return max(stop - start + (1 if cond.op == "<=" else 0), 0.0)
+    cond = stmt.cond.inner if isinstance(stmt.cond, Paren) else stmt.cond
+    if not (isinstance(cond, BinOp) and cond.op in ("<", "<=")
+            and isinstance(cond.left, Name)):
         return 1.0
-    return 1.0
+    if var is None:
+        var, start = cond.left.ident, env.get(cond.left.ident)
+    stop = fold_expr(cond.right, env)
+    if cond.left.ident != var or start is None or stop is None:
+        return 1.0
+    return max(stop - start + (1 if cond.op == "<=" else 0), 0.0)
 
 
 def static_ops(stmt: Stmt, env: dict[str, float]) -> float:
@@ -236,8 +207,7 @@ def static_ops(stmt: Stmt, env: dict[str, float]) -> float:
         total = float(stmt_own_ops(s))
         if isinstance(s, (For, While)):
             if isinstance(s, For):
-                header = (expr_ops(s.init) if isinstance(s.init, Expr) else 0) \
-                    + expr_ops(s.cond) + expr_ops(s.update)
+                header = expr_ops(s.init) + expr_ops(s.cond) + expr_ops(s.update)
                 if isinstance(s.init, DeclStmt):
                     for d in s.init.decls:
                         if d.init is not None:
@@ -345,6 +315,12 @@ class _Residency:
         self.cpu_fresh[sym] = True
 
 
+_RESIDENCY_COUNTERS = ("h2d_count", "d2h_count", "h2d_bytes", "d2h_bytes",
+                       "t_h2d", "t_d2h", "h2d_array_count", "d2h_array_count")
+_REPLAY_COUNTERS = ("t_cpu", "t_gpu", "launches", "gpu_ops", "cpu_ops",
+                    "overlap_saved")
+
+
 class _Replay:
     def __init__(self, rv: RenderedVariant, params: CostModelParams):
         self.rv = rv
@@ -397,11 +373,11 @@ class _Replay:
             out.setdefault(key, []).append((prio, kind, payload))
 
         for l in self.plan.loads:
-            add(l.point, 2, "load", l)
+            add(l.point, _PRIORITY["advancedload"], "load", l)
         for s in self.plan.stores:
-            add(s.point, 5, "store", s)
+            add(s.point, _PRIORITY["delegatedstore"], "store", s)
         for a in self.plan.asyncs:
-            add(a.point, 4, "sync", a)
+            add(a.point, _PRIORITY["synchronize"], "sync", a)
         for entries in out.values():
             entries.sort(key=lambda e: e[0])
         return out
@@ -506,8 +482,9 @@ class _Replay:
             if not isinstance(stmt, (For, While)):
                 self._cpu_time(float(stmt_own_ops(stmt)))
             if isinstance(stmt, ExprStmt):
-                for node in self._call_nodes(stmt.expr):
-                    self._cpu_time(self._function_ops(node.func))
+                for node in walk_exprs(stmt.expr):
+                    if isinstance(node, Call):
+                        self._cpu_time(self._function_ops(node.func))
             if isinstance(stmt, Block):
                 for c in stmt.stmts:
                     self._run_stmt(c)
@@ -518,9 +495,6 @@ class _Replay:
                 if stmt.orelse is not None:
                     self._run_stmt(stmt.orelse)
         self._run_actions("after", stmt)
-
-    def _call_nodes(self, e: Expr):
-        return [n for n in walk_exprs(e) if isinstance(n, Call)]
 
     def _run_loop(self, stmt):
         trips = loop_trips(stmt, self.env)
@@ -544,33 +518,25 @@ class _Replay:
             self._run_stmt(stmt.body)
             self._scale_delta(snapshot2, trips - 2.0)
 
-    def _counters(self):
-        r = self.res
-        return (r.h2d_count, r.d2h_count, r.h2d_bytes, r.d2h_bytes, r.t_h2d,
-                r.t_d2h, self.t_cpu, self.t_gpu, self.launches, self.gpu_ops,
-                self.cpu_ops, self.overlap_saved, r.h2d_array_count,
-                r.d2h_array_count)
+    def _counters(self) -> list:
+        return [getattr(owner, name) for owner, name in self._counter_slots()]
+
+    def _counter_slots(self):
+        for name in _RESIDENCY_COUNTERS:
+            yield self.res, name
+        for name in _REPLAY_COUNTERS:
+            yield self, name
 
     def _scale_delta(self, snapshot, extra: float):
+        """Adds `extra` more repetitions of the change since `snapshot`;
+        integer counters stay integers."""
         if extra <= 0:
             return
-        cur = self._counters()
-        delta = [c - s for c, s in zip(cur, snapshot)]
-        r = self.res
-        r.h2d_count += int(delta[0] * extra)
-        r.d2h_count += int(delta[1] * extra)
-        r.h2d_bytes += int(delta[2] * extra)
-        r.d2h_bytes += int(delta[3] * extra)
-        r.t_h2d += delta[4] * extra
-        r.t_d2h += delta[5] * extra
-        self.t_cpu += delta[6] * extra
-        self.t_gpu += delta[7] * extra
-        self.launches += int(delta[8] * extra)
-        self.gpu_ops += delta[9] * extra
-        self.cpu_ops += delta[10] * extra
-        self.overlap_saved += delta[11] * extra
-        r.h2d_array_count += int(delta[12] * extra)
-        r.d2h_array_count += int(delta[13] * extra)
+        for (owner, name), before in zip(self._counter_slots(), snapshot):
+            now = getattr(owner, name)
+            more = (now - before) * extra
+            setattr(owner, name, now + (int(more) if isinstance(before, int)
+                                        else more))
 
     def _run_callsite(self, k):
         plan = self.plan

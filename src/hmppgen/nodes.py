@@ -8,7 +8,7 @@ its last statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
 # expressions
@@ -242,10 +242,6 @@ class SourceUnit:
     def globals(self) -> list[GlobalDecl]:
         return [x for x in self.items if isinstance(x, GlobalDecl)]
 
-    @property
-    def prototypes(self) -> list[ProtoDecl]:
-        return [x for x in self.items if isinstance(x, ProtoDecl)]
-
     def function(self, name: str) -> FunctionDef:
         for f in self.functions:
             if f.name == name:
@@ -277,25 +273,35 @@ def walk_stmts(stmt: Stmt) -> Iterator[Stmt]:
         yield from walk_stmts(c)
 
 
+# the sub-expression fields of each compound expression, in textual order
+# (a Call's sub-expressions are its argument list)
+_EXPR_FIELDS = {Paren: ("inner",), Index: ("base", "index"),
+                BinOp: ("left", "right"), Unary: ("operand",),
+                Assign: ("target", "value")}
+
+
 def walk_exprs(node) -> Iterator[Expr]:
     if isinstance(node, Expr):
         yield node
-        if isinstance(node, Paren):
-            yield from walk_exprs(node.inner)
-        elif isinstance(node, Index):
-            yield from walk_exprs(node.base)
-            yield from walk_exprs(node.index)
-        elif isinstance(node, Call):
+        for name in _EXPR_FIELDS.get(type(node), ()):
+            yield from walk_exprs(getattr(node, name))
+        if isinstance(node, Call):
             for a in node.args:
                 yield from walk_exprs(a)
-        elif isinstance(node, BinOp):
-            yield from walk_exprs(node.left)
-            yield from walk_exprs(node.right)
-        elif isinstance(node, Unary):
-            yield from walk_exprs(node.operand)
-        elif isinstance(node, Assign):
-            yield from walk_exprs(node.target)
-            yield from walk_exprs(node.value)
+
+
+def replace_exprs(e: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
+    """Pre-order rewrite: a node that `fn` maps to a new expression is
+    replaced whole; any other node (`fn` returns None) keeps its identity
+    and has its children rewritten.  Returns the rewritten root."""
+    new = fn(e)
+    if new is not None:
+        return new
+    for name in _EXPR_FIELDS.get(type(e), ()):
+        setattr(e, name, replace_exprs(getattr(e, name), fn))
+    if isinstance(e, Call):
+        e.args = [replace_exprs(a, fn) for a in e.args]
+    return e
 
 
 def stmt_exprs(stmt: Stmt) -> list[Expr]:

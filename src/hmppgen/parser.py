@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .errors import CParseError, UnsupportedConstructError
 from .lexer import Token, tokenize
 from .nodes import (
-    Assign, BinOp, Block, Call, DeclStmt, Expr, ExprStmt, For, FunctionDef,
+    Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For, FunctionDef,
     GlobalDecl, If, Index, Name, Num, Param, Paren, ProtoDecl, Return,
     SourceUnit, Stmt, Str, Symbol, Unary, VarDecl, While, child_stmts,
     stmt_exprs, walk_exprs, walk_stmts,
@@ -414,6 +414,50 @@ def _is_lvalue(e: Expr) -> bool:
     if isinstance(e, Paren):
         return _is_lvalue(e.inner)
     return isinstance(e, (Name, Index)) or (isinstance(e, Unary) and e.op == "*")
+
+
+def stmt_nesting(stmt: Stmt, level: int) -> int:
+    """Deepest nesting level the parser would count in `stmt` printed as a
+    statement at `level` (a function body's statements are at level 1), so
+    a rewritten tree can be held to MAX_NESTING like a parsed one."""
+    exprs = ([Call(stmt.label, stmt.args)] if isinstance(stmt, CallsiteStmt)
+             else stmt_exprs(stmt))
+    deepest = max([level] + [level + _expr_nesting(e) for e in exprs])
+    for c in child_stmts(stmt):
+        # a for loop's declaration is parsed as part of the loop header
+        inner = level if isinstance(stmt, For) and c is stmt.init else level + 1
+        deepest = max(deepest, stmt_nesting(c, inner))
+    return deepest
+
+
+def _expr_nesting(e: Expr) -> int:
+    """Levels below its statement that `e` occupies: each operand, an
+    assignment's value and each further operator of a chain nest deeper."""
+    if isinstance(e, Assign):
+        return max(_expr_nesting(e.target), 1 + _expr_nesting(e.value))
+    if isinstance(e, BinOp):
+        ops, left = 1, e.left
+        while isinstance(left, BinOp):
+            ops, left = ops + 1, left.left
+        return max(_expr_nesting(e.left), ops + _expr_nesting(e.right))
+    if isinstance(e, Unary) and e.prefix:
+        return 1 + _expr_nesting(e.operand)
+    return 1 + _postfix_nesting(e)[0]
+
+
+def _postfix_nesting(e: Expr) -> tuple[int, int]:
+    """(levels, operators) of a postfix chain: each call, subscript and
+    postfix ++/-- nests the chain so far one level deeper."""
+    if isinstance(e, Call):
+        return 1 + max([0] + [_expr_nesting(a) for a in e.args]), 1
+    if isinstance(e, Index) or isinstance(e, Unary) and not e.prefix:
+        levels, ops = _postfix_nesting(
+            e.base if isinstance(e, Index) else e.operand)
+        index = _expr_nesting(e.index) if isinstance(e, Index) else 0
+        return max(levels, ops + 1 + index), ops + 1
+    if isinstance(e, (Name, Num, Str)):
+        return 0, 0
+    return _expr_nesting(e.inner if isinstance(e, Paren) else e), 0
 
 
 # ---------------------------------------------------------------------------

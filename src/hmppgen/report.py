@@ -147,7 +147,8 @@ def emit_plot_data(measurements: list[Measurement], out_dir,
                    baseline_signature: str = BASELINE_SIGNATURE_TEXT) -> dict:
     """Plot-ready whitespace-separated columns: speedup bars, time/energy
     scatter with a frontier flag, and GOPS/W bars when an operation count
-    is supplied."""
+    is supplied.  A row without positive energy has no GOPS/W: it is left
+    out of `gops.dat` with one line in the returned `warnings`."""
     if not measurements:
         raise ReportError("no measurements to report")
     ok = [m for m in measurements if not m.failed]
@@ -174,13 +175,19 @@ def emit_plot_data(measurements: list[Measurement], out_dir,
     (out / "tradeoff.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     written = {"speedup": out / "speedup.dat", "tradeoff": out / "tradeoff.dat"}
+    warnings = []
     if op_count is not None:
         lines = ["# variant gops_per_watt"]
         for m in ok:
+            if m.energy_J <= 0:
+                warnings.append("warning: %s has no positive energy; left out "
+                                "of gops.dat" % m.name)
+                continue
             lines.append("%s %s" % (m.name, _fmt_g(gops_per_watt(op_count, m))))
         (out / "gops.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
         written["gops"] = out / "gops.dat"
-    return {"files": written, "frontier": frontier, "baseline": base}
+    return {"files": written, "frontier": frontier, "baseline": base,
+            "warnings": warnings}
 
 
 def _fmt_g(v: float) -> str:

@@ -17,9 +17,9 @@ from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
     FunctionDef, GlobalDecl, If, Index, Name, Num, Param, Paren, Return,
     SourceUnit, Stmt, Str, Symbol, Unary, VarDecl, While, child_stmts,
-    stmt_exprs, walk_exprs, walk_stmts,
+    replace_exprs, stmt_exprs, walk_exprs, walk_stmts,
 )
-from .parser import Resolution, resolve
+from .parser import MAX_NESTING, Resolution, resolve, stmt_nesting
 from .pragmas import HmppDirective, OmpPragma
 from .variants import FlagSet
 
@@ -137,11 +137,7 @@ def expr_accesses(e: Expr, res: Resolution, unit: SourceUnit,
         return res.symbol_of(node) if isinstance(node, Name) else None
 
     def base_symbol(target: Expr) -> Optional[Symbol]:
-        while isinstance(target, (Index, Paren, Unary)):
-            target = (target.base if isinstance(target, Index) else
-                      target.inner if isinstance(target, Paren) else
-                      target.operand)
-        return sym(target)
+        return sym(_lvalue(target)[0])
 
     def walk(node: Expr):
         if isinstance(node, Name):
@@ -161,7 +157,7 @@ def expr_accesses(e: Expr, res: Resolution, unit: SourceUnit,
                 s = base_symbol(node.operand)
                 if s is not None:
                     out.append(Access(s, "addr"))
-                for e2 in _index_exprs(node.operand):
+                for e2 in _lvalue(node.operand)[1]:
                     walk(e2)
             elif node.op in ("++", "--"):
                 s = base_symbol(node.operand)
@@ -198,7 +194,7 @@ def expr_accesses(e: Expr, res: Resolution, unit: SourceUnit,
                     # write through a pointer reads the pointer itself
                     out.append(Access(s, "read"))
                 out.append(Access(s, "write"))
-            for e2 in reversed(_index_exprs(node.target)):
+            for e2 in reversed(_lvalue(node.target)[1]):
                 walk(e2)
             walk(node.value)
 
@@ -206,17 +202,17 @@ def expr_accesses(e: Expr, res: Resolution, unit: SourceUnit,
     walk(e)
 
 
-def _index_exprs(target: Expr) -> list[Expr]:
-    out = []
+def _lvalue(target: Expr) -> tuple[Expr, list[Expr]]:
+    """The base of an lvalue chain (through subscripts, parentheses and
+    unary operators) and its index expressions, outermost first."""
+    indexes = []
     while isinstance(target, (Index, Paren, Unary)):
         if isinstance(target, Index):
-            out.append(target.index)
-            target = target.base
-        elif isinstance(target, Paren):
-            target = target.inner
-        else:
-            target = target.operand
-    return out
+            indexes.append(target.index)
+        target = (target.base if isinstance(target, Index) else
+                  target.inner if isinstance(target, Paren) else
+                  target.operand)
+    return target, indexes
 
 
 def stmt_accesses(stmt: Stmt, res: Resolution, unit: SourceUnit) -> list[Access]:
@@ -255,18 +251,18 @@ def _local_decls(stmt: Stmt) -> set[str]:
 # parameter inference
 
 
-def infer_codelet_params(block_stmt: Stmt, res: Resolution, unit: SourceUnit,
+def infer_codelet_params(block_stmt: Stmt, accesses: list[Access],
+                         res: Resolution, unit: SourceUnit,
                          reduction: Optional[tuple[str, str]] = None,
                          filename: str = "") -> list[Param]:
     """Free variables of the block in first-use order, shaped for the
-    accelerator signature.
+    accelerator signature; `accesses` are the block's `subtree_accesses`.
 
     Scalars pass by value, 1-D arrays as sized pointers, matrices with
     their declared dimensions.  A reduction variable becomes a
     `<name>_reduced` pointer of size 1 in its first-use slot.
     """
     locals_ = _local_decls(block_stmt)
-    accesses = subtree_accesses(block_stmt, res, unit)
     reads: dict[str, bool] = {}
     writes: dict[str, bool] = {}
     order: list[Symbol] = []
@@ -408,7 +404,6 @@ class Kernel:
     codelet: CodeletDef
     callsite: CallsiteStmt
     fn_name: str
-    group: Optional[str] = None  # group label, filled by planning
     reduce: Optional[tuple[str, str]] = None  # (op, caller symbol)
 
     @property
@@ -422,8 +417,10 @@ def codelet_label(fn_name: str, line: int, tag: str) -> str:
 
 def outline_block(unit: SourceUnit, block: OmpBlock, flags: FlagSet,
                   tag: str = "") -> Kernel:
-    """Rewrites `unit` in place: the block's loop nest moves verbatim into a
-    fresh codelet function and a callsite takes its place."""
+    """Rewrites `unit` in place: the block's loop nest moves verbatim (the
+    same statement object, its pragmas dropped) into a fresh codelet
+    function and a callsite takes its place, so callers that need the
+    original pass a copy."""
     res = resolve(unit)
     if not isinstance(block.stmt, For):
         raise TransformError("annotated block must start with a for loop",
@@ -434,30 +431,28 @@ def outline_block(unit: SourceUnit, block: OmpBlock, flags: FlagSet,
         if sym.shape != "scalar":
             raise TransformError("reduction variable %r must be scalar"
                                  % reduction[1], block.line, None, unit.filename)
-    _check_scalar_liveness(unit, block, res)
-    params = infer_codelet_params(block.stmt, res, unit, reduction,
+    accesses = subtree_accesses(block.stmt, res, unit)
+    _check_scalar_liveness(unit, block, accesses, res)
+    params = infer_codelet_params(block.stmt, accesses, res, unit, reduction,
                                   unit.filename)
     label = codelet_label(block.fn.name, block.line, tag)
 
-    loop = copy.deepcopy(block.stmt)
+    loop = block.stmt
     loop.pragmas = []
     grid = gridify_spec(loop, reduction)
     if grid:
         loop.pragmas = [HmppDirective(kind="gridify", gridify_dims=grid,
-                                      reduce=reduction and
-                                      (reduction[0], reduction[1]))]
+                                      reduce=reduction)]
     body = Block(stmts=[loop])
     if reduction is not None:
-        op, var = reduction
-        elem = _fn_symbol(res, block.fn.name, var, unit, block.stmt).elem_type
+        var, elem = reduction[1], sym.elem_type
         body.stmts.insert(0, DeclStmt(
             [VarDecl(var, elem, init=Unary("*", Name(var + "_reduced")))], elem))
         body.stmts.append(ExprStmt(
             Assign("=", Unary("*", Name(var + "_reduced")), Name(var))))
 
     codelet = CodeletDef(label, block.fn.name, params, body, loop, grid,
-                         reduction and (reduction[0], reduction[1]),
-                         line=block.line)
+                         reduction, line=block.line)
     args: list[Expr] = []
     for p in params:
         if p.reduced:
@@ -470,13 +465,14 @@ def outline_block(unit: SourceUnit, block: OmpBlock, flags: FlagSet,
                   block.fn.name, reduce=reduction)
 
 
-def _check_scalar_liveness(unit: SourceUnit, block: OmpBlock, res: Resolution):
+def _check_scalar_liveness(unit: SourceUnit, block: OmpBlock,
+                           accesses: list[Access], res: Resolution):
     """A scalar written inside the block stays by-value, so it must be dead
     (re-written before any read) on the CPU afterwards."""
     locals_ = _local_decls(block.stmt)
     red_var = block.pragma.reduction[1] if block.pragma.reduction else None
     written = set()
-    for a in subtree_accesses(block.stmt, res, unit):
+    for a in accesses:
         if (a.kind == "write" and a.symbol.shape == "scalar"
                 and a.symbol.name not in locals_ and a.symbol.name != red_var):
             written.add(a.symbol.name)
@@ -667,28 +663,14 @@ def _rename_uses(block: Block, mapping: dict[str, tuple[str, bool]],
                         "local %r in %r shadows a parameter; cannot inline"
                         % (d.name, fname))
 
+    def renamed(e: Expr) -> Optional[Expr]:
+        if isinstance(e, Name) and e.ident in mapping:
+            new, is_ref = mapping[e.ident]
+            return Unary("*", Name(new)) if is_ref else Name(new)
+        return None
+
     def rewrite(e: Expr) -> Expr:
-        if isinstance(e, Name):
-            if e.ident in mapping:
-                new, is_ref = mapping[e.ident]
-                return Unary("*", Name(new)) if is_ref else Name(new)
-            return e
-        if isinstance(e, Paren):
-            e.inner = rewrite(e.inner)
-        elif isinstance(e, Index):
-            e.base = rewrite(e.base)
-            e.index = rewrite(e.index)
-        elif isinstance(e, Call):
-            e.args = [rewrite(a) for a in e.args]
-        elif isinstance(e, BinOp):
-            e.left = rewrite(e.left)
-            e.right = rewrite(e.right)
-        elif isinstance(e, Unary):
-            e.operand = rewrite(e.operand)
-        elif isinstance(e, Assign):
-            e.target = rewrite(e.target)
-            e.value = rewrite(e.value)
-        return e
+        return replace_exprs(e, renamed)
 
     for stmt in walk_stmts(block):
         if isinstance(stmt, DeclStmt):
@@ -722,10 +704,12 @@ def _find_local_ret(body: Block) -> Optional[VarDecl]:
     return None
 
 
-def _expand_call(call: Call, y: int, state: _InlineState,
+def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
                  capture: bool) -> tuple[list[Stmt], Optional[str]]:
-    """Builds the statements replacing one call; returns them plus the name
-    of the `_return_<y>` variable when the result is captured."""
+    """Builds the statements replacing one call in statement `at`, which is
+    at nesting `level`; returns them plus the name of the `_return_<y>`
+    variable when the result is captured."""
+    y = state.next_index()
     fn = state.fn_map[call.func]
     if call.func in state.active:
         raise TransformError("recursive function %r cannot be inlined" % call.func)
@@ -749,6 +733,9 @@ def _expand_call(call: Call, y: int, state: _InlineState,
                                 p.elem_type))
         mapping[p.name] = (pname, p.reference)
 
+    # the rewrites below deepen the copy by at most one level; bounding the
+    # original first keeps an oversized copy from being made at all
+    _check_nesting([fn.body], level, fn.name, at, state.unit)
     body = copy.deepcopy(fn.body)
     body.pragmas = []
     _rename_uses(body, mapping, fn.name)
@@ -788,8 +775,9 @@ def _expand_call(call: Call, y: int, state: _InlineState,
         else:
             result_type = None
 
+    _check_nesting(out + [body], level, fn.name, at, state.unit)
     state.active.append(fn.name)
-    _inline_block(body, state)
+    _inline_block(body, state, level + 1)
     state.active.pop()
     state.report.call_indices.append((fn.name, y))
     if fn.name not in state.report.inlined:
@@ -799,6 +787,16 @@ def _expand_call(call: Call, y: int, state: _InlineState,
         out.append(DeclStmt([VarDecl(return_var, result_type)], result_type))
     out.append(body)
     return out, return_var if capture else None
+
+
+def _check_nesting(stmts: list[Stmt], level: int, fname: str, at: Stmt,
+                   unit: SourceUnit):
+    """Rejects an expansion that would nest past the parser's limit, where
+    the later recursive stages could no longer walk it."""
+    if max(stmt_nesting(s, level) for s in stmts) > MAX_NESTING:
+        raise TransformError("inlining %r here nests deeper than %d levels, "
+                             "which is not supported" % (fname, MAX_NESTING),
+                             at.line, None, unit.filename)
 
 
 def _is_addressable(e: Expr) -> bool:
@@ -811,27 +809,10 @@ def _calls_in(e: Expr, targets: set[str]) -> list[Call]:
 
 
 def _substitute(e: Expr, call: Call, replacement: Expr) -> Expr:
-    if e is call:
-        return replacement
-    if isinstance(e, Paren):
-        e.inner = _substitute(e.inner, call, replacement)
-    elif isinstance(e, Index):
-        e.base = _substitute(e.base, call, replacement)
-        e.index = _substitute(e.index, call, replacement)
-    elif isinstance(e, Call):
-        e.args = [_substitute(a, call, replacement) for a in e.args]
-    elif isinstance(e, BinOp):
-        e.left = _substitute(e.left, call, replacement)
-        e.right = _substitute(e.right, call, replacement)
-    elif isinstance(e, Unary):
-        e.operand = _substitute(e.operand, call, replacement)
-    elif isinstance(e, Assign):
-        e.target = _substitute(e.target, call, replacement)
-        e.value = _substitute(e.value, call, replacement)
-    return e
+    return replace_exprs(e, lambda node: replacement if node is call else None)
 
 
-def _inline_stmt(stmt: Stmt, state: _InlineState) -> list[Stmt]:
+def _inline_stmt(stmt: Stmt, state: _InlineState, level: int) -> list[Stmt]:
     if isinstance(stmt, ExprStmt):
         calls = _calls_in(stmt.expr, state.targets)
         if not calls:
@@ -841,18 +822,18 @@ def _inline_stmt(stmt: Stmt, state: _InlineState) -> list[Stmt]:
             # bare call statement: expand nested argument calls first, then
             # the outer call in place with its result discarded
             for call in calls[1:]:
-                stmts, ret = _expand_call(call, state.next_index(), state,
+                stmts, ret = _expand_call(call, stmt, level, state,
                                           capture=True)
                 out.extend(stmts)
                 _substitute(stmt.expr, call, Name(ret))
-            stmts, _ = _expand_call(stmt.expr, state.next_index(), state,
+            stmts, _ = _expand_call(stmt.expr, stmt, level, state,
                                     capture=False)
             out.extend(stmts)
             if out:
                 out[0].pragmas = stmt.pragmas + out[0].pragmas
             return out
         for call in calls:
-            stmts, ret = _expand_call(call, state.next_index(), state,
+            stmts, ret = _expand_call(call, stmt, level, state,
                                       capture=True)
             out.extend(stmts)
             _substitute(stmt.expr, call, Name(ret))
@@ -864,7 +845,7 @@ def _inline_stmt(stmt: Stmt, state: _InlineState) -> list[Stmt]:
             if d.init is None:
                 continue
             for call in _calls_in(d.init, state.targets):
-                stmts, ret = _expand_call(call, state.next_index(), state,
+                stmts, ret = _expand_call(call, stmt, level, state,
                                           capture=True)
                 out.extend(stmts)
                 d.init = _substitute(d.init, call, Name(ret))
@@ -881,19 +862,20 @@ def _has_target_calls(stmt: Stmt, state: _InlineState) -> bool:
     return any(call.func in state.targets for _, call in _calls(stmt))
 
 
-def _inline_into_children(stmt: Stmt, state: _InlineState):
+def _inline_into_children(stmt: Stmt, state: _InlineState, level: int):
     """Recurses into nested statement bodies, wrapping a bare body in a
-    block only when splicing is needed there."""
+    block only when splicing is needed there.  `stmt` is at nesting
+    `level`, as the parser counts it."""
 
     def descend(body: Stmt) -> Stmt:
         if isinstance(body, Block):
-            _inline_block(body, state)
+            _inline_block(body, state, level + 2)
             return body
         if _has_target_calls(body, state):
             wrapped = Block(stmts=[body], line=body.line)
-            _inline_block(wrapped, state)
+            _inline_block(wrapped, state, level + 2)
             return wrapped
-        _inline_into_children(body, state)
+        _inline_into_children(body, state, level + 1)
         return body
 
     if isinstance(stmt, (For, While)):
@@ -903,14 +885,16 @@ def _inline_into_children(stmt: Stmt, state: _InlineState):
         if stmt.orelse is not None:
             stmt.orelse = descend(stmt.orelse)
     elif isinstance(stmt, Block):
-        _inline_block(stmt, state)
+        _inline_block(stmt, state, level + 1)
 
 
-def _inline_block(block: Block, state: _InlineState):
+def _inline_block(block: Block, state: _InlineState, level: int):
+    """Inlines into the statements of `block`, which are at nesting
+    `level`."""
     new_stmts: list[Stmt] = []
     for stmt in block.stmts:
-        _inline_into_children(stmt, state)
-        new_stmts.extend(_inline_stmt(stmt, state))
+        _inline_into_children(stmt, state, level)
+        new_stmts.extend(_inline_stmt(stmt, state, level))
     block.stmts = new_stmts
 
 
@@ -936,7 +920,7 @@ def inline_calls_in_place(unit: SourceUnit,
     state = _InlineState(unit, selected)
     for f in unit.functions:
         if f.name not in selected:
-            _inline_block(f.body, state)
+            _inline_block(f.body, state, 1)
 
     remaining = {call.func for f in unit.functions
                  for _, call in _calls(f.body)}

@@ -208,18 +208,27 @@ def plans_for_unit(block_plans: list[list[VariantPlan]],
     """Cartesian product over per-block plan lists, deterministic order.
 
     Only blocks with more than one plan (check blocks) contribute to the
-    variant name; pinned blocks are constant across the sweep.
+    variant name; pinned blocks are constant across the sweep.  When no
+    block varies and some block is pinned off the baseline, the
+    all-baseline variant comes first, so the sweep has a baseline to
+    compare against.
     """
+    varying = tuple(i for i, plans in enumerate(block_plans) if len(plans) > 1)
+    combos = itertools.product(*block_plans)
     total = 1
     for plans in block_plans:
         total *= max(len(plans), 1)
+    pinned = [] if varying else [plans[0] for plans in block_plans]
+    if any(not p.flags.baseline for p in pinned):
+        baseline = tuple(VariantPlan.of(p.block_id, BASELINE) for p in pinned)
+        combos = itertools.chain([baseline], combos)
+        total += 1
     if total > cap:
         raise PlanError(
             "variant space has %d members, above the cap of %d; pin blocks "
             "with fixed(a, b, c) to shrink the exploration" % (total, cap))
-    varying = tuple(i for i, plans in enumerate(block_plans) if len(plans) > 1)
     out = []
-    for combo in itertools.product(*block_plans):
+    for combo in combos:
         named = [combo[i] for i in varying] or list(combo)
         if all(p.flags.baseline for p in named):
             name = "Original(OpenMP)"

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from hmppgen.cli import main
-from hmppgen.parser import MAX_NESTING
+from hmppgen.parser import MAX_NESTING, parse_translation_unit, stmt_nesting
 
 from conftest import DATA, load
 
@@ -222,6 +222,20 @@ def test_explore_two_check_blocks_composite_baseline(tmp_path, capsys):
     assert "speedup Original(OpenMP) (0, 0, 0 | 0, 0, 0) 1" in out.splitlines()
 
 
+def test_explore_fixed_only_has_baseline_row(tmp_path, capsys):
+    src = tmp_path / "pinned.c"
+    src.write_text(load("table1.c").replace("check", "fixed(9, 1, 0)"))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(["explore", src, "--out", out_dir,
+                              "--reps", "1"], capsys)
+    assert code == 0, err
+    rows = (out_dir / "report.csv").read_text().splitlines()[1:]
+    assert [r.split('"')[:2] for r in rows] == [
+        ["Original(OpenMP),", "0, 0, 0"],
+        ["Adv_loaddelStoreNoUpdate__9_1_0,", "9, 1, 0"]]
+    assert (out_dir / "speedup.dat").exists()
+
+
 def test_explore_cap_exceeded(tmp_path, capsys):
     # two group-eligible check blocks blow the default cap
     src = tmp_path / "two.c"
@@ -248,6 +262,22 @@ def test_report_table8(tmp_path, capsys):
     value = float(speed.rsplit(" ", 1)[1])
     assert abs(value - 6.19) < 0.01
     assert (tmp_path / "r" / "gops.dat").exists()
+
+
+def test_report_ops_skips_rows_without_energy(tmp_path, capsys):
+    csv = tmp_path / "zero.csv"
+    csv.write_text("Version/Measure,Signature,Time Expended(ms.),"
+                   "Energy Consumption(J.)\n"
+                   'Original(OpenMP),"0, 0, 0",0.5,0\n'
+                   'Codelet__0_0_1,"0, 0, 1",0.25,0.01\n')
+    code, out, err = run_cli(["report", csv, "--out", tmp_path / "r",
+                              "--ops", "2.7e9"], capsys)
+    assert code == 0, err
+    assert err == ("warning: Original(OpenMP) has no positive energy; "
+                   "left out of gops.dat\n")
+    assert (tmp_path / "r" / "gops.dat").read_text().splitlines() == [
+        "# variant gops_per_watt", "Codelet__0_0_1 270"]
+    assert (tmp_path / "r" / "speedup.dat").exists()
 
 
 def test_report_baseline_only_csv(tmp_path, capsys):
@@ -339,4 +369,53 @@ def test_nesting_limit(tmp_path, capsys, kind):
     assert code == 1
     assert re.fullmatch(r"\S*deep\.c:6:\d+: nesting deeper than %d levels "
                         r"is not supported\n" % MAX_NESTING, err), err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_stmt_nesting_counts_like_the_parser(kind):
+    # the deepest input the parser accepts reaches exactly MAX_NESTING
+    unit = parse_translation_unit(DEEP % NESTED[kind](MAX_NESTING - 5))
+    assert max(stmt_nesting(s, 1)
+               for s in unit.function("main").body.stmts) == MAX_NESTING
+
+
+INLINED = """int helper(int v) {
+    %s
+    return v;
+}
+int main() {
+    int i;
+    int A[8];
+    #pragma omp parallel for check
+    for (i = 0; i < 8; i++) {
+        A[i] = helper(i);
+    }
+    printf("%%d\\n", A[1]);
+    return 0;
+}
+"""
+
+
+def test_inlining_nesting_limit(tmp_path, capsys):
+    # In the codelet the call statement is at level 3, so the inlined body's
+    # statements start at 4, and `v = v + 1;` inside n blocks reaches
+    # 4 + n + 3 (the value's right operand is the chain's second level).
+    def blocks(n):
+        return "{ " * n + "v = v + 1;" + " }" * n
+
+    at_limit = tmp_path / "ok.c"
+    at_limit.write_text(INLINED % blocks(MAX_NESTING - 7))
+    code, _, err = run_cli(["explore", at_limit, "--out", tmp_path / "o",
+                            "--reps", "1"], capsys)
+    assert code == 0, err
+
+    too_deep = tmp_path / "deep.c"
+    too_deep.write_text(INLINED % blocks(MAX_NESTING - 6))
+    code, out, err = run_cli(["explore", too_deep, "--out", tmp_path / "d"],
+                             capsys)
+    assert code == 1
+    assert re.fullmatch(r"\S*deep\.c:10: inlining 'helper' here nests deeper "
+                        r"than %d levels, which is not supported\n"
+                        % MAX_NESTING, err), err
     assert not (tmp_path / "d").exists()

@@ -46,6 +46,22 @@ def test_table5_golden():
     assert structurally_equal(rv.source, load("table5.golden.c"))
 
 
+def test_build_variant_resolves_once_per_kernel(monkeypatch):
+    # form_groups and build_context_table resolve once each, outline_block
+    # once per kernel: 2 + k for the two-kernel group variant
+    import hmppgen.context
+    import hmppgen.transform
+    calls = []
+    for module in (hmppgen.context, hmppgen.transform):
+        def counted(unit, _resolve=module.resolve):
+            calls.append(unit)
+            return _resolve(unit)
+        monkeypatch.setattr(module, "resolve", counted)
+    rv = build("table5.c", {1: (11, 3, 0), 2: (11, 3, 0)})
+    assert len(rv.kernels) == 2
+    assert len(calls) == 4
+
+
 def test_table5_key_structure():
     text = build("table5.c", {1: (11, 3, 0), 2: (11, 3, 0)}).source
     lines = text.splitlines()

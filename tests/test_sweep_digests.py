@@ -1,0 +1,62 @@
+"""Pins the bytes of representative sweep and transform outputs.
+
+A refactoring that must not change outputs keeps these digests.  After a
+deliberate output change, regenerate them with
+
+    PYTHONPATH=src python tests/test_sweep_digests.py > tests/data/sweeps.sha256
+
+and say in the change which outputs moved.
+"""
+
+import hashlib
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+DATA = Path(__file__).parent / "data"
+DIGESTS = DATA / "sweeps.sha256"
+
+# (output directory name, CLI arguments after the input and --out)
+RUNS = [
+    ("gemm64", "gemm64.c", ["explore", "--reps", "1"]),
+    ("jacobi128", "jacobi128.c", ["explore", "--reps", "1"]),
+    ("jacobi_t6", "jacobi_t6.c", ["explore", "--reps", "1"]),
+    ("table1", "table1.c", ["explore", "--reps", "1"]),
+    ("table3", "table3.c", ["explore", "--reps", "1"]),
+    ("table5_analysis", "table5.c", ["transform", "--dump-analysis", None]),
+    ("inline_run", "inline_run.c", ["transform", "--inline", "all"]),
+]
+
+DIGESTED = ("report.csv", "manifest.txt", "variants/manifest.txt",
+            "variants/*.c", "logs/*.log", "*.c", "analysis.txt")
+
+
+def sweep_digests(root: Path) -> list[str]:
+    """Runs every entry of RUNS under `root`; returns `<sha256>  <path>` lines."""
+    from hmppgen.cli import main
+
+    lines = []
+    for name, source, args in RUNS:
+        out = root / name
+        command, *rest = args
+        rest = [str(out / "analysis.txt") if a is None else a for a in rest]
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main([command, str(DATA / source), "--out", str(out), *rest])
+        assert code == 0, "%s exited %d" % (name, code)
+        files = sorted({p for pattern in DIGESTED for p in out.glob(pattern)})
+        for path in files:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append("%s  %s" % (digest, path.relative_to(root).as_posix()))
+    return lines
+
+
+def test_sweep_outputs_match_digests(tmp_path):
+    expected = DIGESTS.read_text(encoding="utf-8").splitlines()
+    assert sweep_digests(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.stdout.write("".join(line + "\n" for line in sweep_digests(Path(tmp))))

@@ -113,6 +113,13 @@ def test_table1_callsite_matches_params():
                         "mat1, k, a, mat2)")
 
 
+def test_outline_moves_the_loop():
+    unit = copy.deepcopy(parse_fixture("table1.c"))
+    block = find_omp_blocks(unit)[0]
+    k = outline_block(unit, block, FlagSet())
+    assert k.codelet.loop is block.stmt
+
+
 def test_body_moved_verbatim():
     # re-substituting the codelet loop at the callsite reproduces the block
     original = parse_fixture("table1.c")

@@ -142,8 +142,9 @@ def test_plans_for_unit_all_fixed():
     lists = [enumerate_variants(1, pragma, True),
              enumerate_variants(2, pragma, True)]
     out = plans_for_unit(lists)
-    assert len(out) == 1
-    assert out[0].signature_text == "9, 1, 0 | 9, 1, 0"
+    assert [uv.signature_text for uv in out] == ["0, 0, 0 | 0, 0, 0",
+                                                 "9, 1, 0 | 9, 1, 0"]
+    assert out[0].name == "Original(OpenMP)"
 
 
 def test_variant_names_embed_signatures():
