@@ -94,13 +94,15 @@ def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 # building the table
 
 
-def build_context_table(unit: SourceUnit, kernels: list[Kernel]) -> ContextTable:
+def build_context_table(unit: SourceUnit, kernels: list[Kernel],
+                        res: Resolution) -> ContextTable:
     """Access facts for the function hosting the callsites.
 
     Codelet accesses surface at the callsite, attributed to the kernel;
     compound assignments yield a read then a write.  By-value scalar
     arguments count as CPU reads at the call.  The codelets must already
-    be in `unit` (`insert_codelets`): one resolution covers them all.
+    be in `unit` (`insert_codelets`), and `res` resolves it as it is now:
+    one resolution covers them all.
     """
     if not kernels:
         fn = unit.function("main") if any(
@@ -111,7 +113,6 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel]) -> ContextTable
             raise AnalysisError("kernels span multiple functions: %s"
                                 % ", ".join(sorted(fns)))
         fn = unit.function(fns.pop())
-    res = resolve(unit)
     table = ContextTable(fn=fn, kernels=list(kernels))
     table.symbols = dict(res.fn_scopes.get(fn.name, {}))
     by_callsite = {id(k.callsite): k for k in kernels}
@@ -127,9 +128,9 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel]) -> ContextTable
         table.stmt_at[s] = stmt
         k = by_callsite.get(id(stmt))
         if k is not None:
-            _record_kernel_events(table, k, s, tuple(loop_stack), unit, res)
+            _record_kernel_events(table, k, s, tuple(loop_stack), res)
         else:
-            for a in stmt_accesses(stmt, res, unit):
+            for a in stmt_accesses(stmt, res):
                 table.add(AccessEvent(a.symbol.name, a.kind, s, stmt, CPU,
                                       tuple(loop_stack)))
         loop = isinstance(stmt, (For, While))
@@ -145,13 +146,12 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel]) -> ContextTable
 
 
 def _record_kernel_events(table: ContextTable, k: Kernel, site: int,
-                          path: tuple[int, ...], unit: SourceUnit,
-                          res: Resolution):
+                          path: tuple[int, ...], res: Resolution):
     host = Host("GPU", k.label)
     stmt = k.callsite
     # facts per parameter, from the codelet body
     facts: dict[str, set[str]] = {}
-    for a in subtree_accesses(k.codelet.body, res, unit):
+    for a in subtree_accesses(k.codelet.body, res):
         facts.setdefault(a.symbol.name, set()).add(a.kind)
     for p, arg in zip(k.codelet.params, k.callsite.args):
         sym = p.caller_symbol
@@ -290,21 +290,24 @@ class GroupAssignment:
 
 
 def form_groups(unit: SourceUnit, blocks: list[OmpBlock],
-                flags_by_block: dict[int, FlagSet]) -> dict[int, GroupAssignment]:
+                flags_by_block: dict[int, FlagSet],
+                res: Optional[Resolution] = None) -> dict[int, GroupAssignment]:
     """Connected components of group-flagged blocks that share an array with
     no intervening CPU write; singleton groups are allowed (a pinned block
-    can keep its own state resident across a loop)."""
-    res = resolve(unit)
+    can keep its own state resident across a loop).  `res` resolves `unit`;
+    it is computed here when omitted."""
     members = [b for b in blocks
                if flags_by_block.get(b.block_id) is not None
                and not flags_by_block[b.block_id].baseline
                and flags_by_block[b.block_id].group]
     if not members:
         return {}
+    if res is None:
+        res = resolve(unit)
     arrays: dict[int, set[str]] = {}
     for b in members:
         syms = set()
-        for a in subtree_accesses(b.stmt, res, unit):
+        for a in subtree_accesses(b.stmt, res):
             if a.symbol.shape in ("array", "matrix"):
                 syms.add(a.symbol.name)
         arrays[b.block_id] = syms
@@ -320,7 +323,7 @@ def form_groups(unit: SourceUnit, blocks: list[OmpBlock],
             pos = order[id(stmt)]
             if not (lo < pos < hi) or id(stmt) in inside:
                 continue
-            for a in stmt_accesses(stmt, res, unit):
+            for a in stmt_accesses(stmt, res):
                 if a.symbol.name == sym and a.kind in ("write", "addr"):
                     return True
         return False

@@ -18,6 +18,7 @@ from .context import (
 )
 from .errors import PlanError
 from .nodes import Block, SourceUnit, walk_stmts
+from .parser import resolve
 from .pragmas import HmppArg, HmppDirective, OmpPragma
 from .printer import print_expr, print_unit
 from .transform import (
@@ -216,12 +217,18 @@ def _dissolve_regions(blocks: list[OmpBlock],
 
 def build_variant(unit: SourceUnit, uv: UnitVariant,
                   extra_inline: "tuple[str, ...] | str" = ()) -> RenderedVariant:
-    """Applies one UnitVariant to a parsed unit and renders the result."""
+    """Applies one UnitVariant to a parsed unit and renders the result.
+
+    The copy is resolved twice: before outlining (shared by the group
+    probe and every block's outlining) and after the codelets are in
+    place and inlined (shared by the context table and the scope check).
+    """
     work = copy.deepcopy(unit)
     blocks = find_omp_blocks(work)
     flags_by_block = {p.block_id: p.flags for p in uv.plans}
     diagnostics = []
-    groups = form_groups(work, blocks, flags_by_block)
+    res = resolve(work)
+    groups = form_groups(work, blocks, flags_by_block, res)
     kernels: list[Kernel] = []
     for b in blocks:
         flags = flags_by_block.get(b.block_id, BASELINE)
@@ -233,7 +240,7 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
             tag = str(groups[b.block_id].anchor_line)
         else:
             tag = ""
-        kernels.append(outline_block(work, b, flags, tag))
+        kernels.append(outline_block(work, b, flags, tag, res))
     _dissolve_regions(blocks, flags_by_block)
 
     plan = None
@@ -246,9 +253,10 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
             targets = kernel_path_targets(work, kernels) | set(extra_inline)
             if targets:
                 inline_calls_in_place(work, targets)
-        table = build_context_table(work, kernels)
+        res = resolve(work)
+        table = build_context_table(work, kernels, res)
         for k in kernels:
-            diagnostics.extend(check_global_scope(k.codelet, work))
+            diagnostics.extend(check_global_scope(k.codelet, res))
         plan = build_transfer_plan(work, table, groups)
         diagnostics.extend(plan.diagnostics)
         attach_directives(work, kernels, plan, table)

@@ -19,7 +19,7 @@ from .nodes import (
     SourceUnit, Stmt, Str, Symbol, Unary, VarDecl, While, child_stmts,
     replace_exprs, stmt_exprs, walk_exprs, walk_stmts,
 )
-from .parser import MAX_NESTING, Resolution, resolve, stmt_nesting
+from .parser import MAX_NESTING, Resolution, stmt_nesting
 from .pragmas import HmppDirective, OmpPragma
 from .variants import FlagSet
 
@@ -123,15 +123,15 @@ class Access:
     kind: str  # read | write | addr
 
 
-def expr_accesses(e: Expr, res: Resolution, unit: SourceUnit,
-                  out: list[Access]):
+def expr_accesses(e: Expr, res: Resolution, out: list[Access]):
     """Appends symbol accesses of one expression in textual order.
 
     Compound assignment records a read then a write; opaque calls read
     every argument and also write array arguments (they decay to
     mutable pointers) unless the callee is a known pure printer or a
-    math builtin.
+    math builtin.  The defined functions are those `res` has scopes for.
     """
+    defined = res.fn_scopes
 
     def sym(node) -> Optional[Symbol]:
         return res.symbol_of(node) if isinstance(node, Name) else None
@@ -167,7 +167,6 @@ def expr_accesses(e: Expr, res: Resolution, unit: SourceUnit,
             else:
                 walk(node.operand)
         elif isinstance(node, Call):
-            defined = {f.name for f in unit.functions}
             for a in node.args:
                 if isinstance(a, Str):
                     continue
@@ -198,7 +197,6 @@ def expr_accesses(e: Expr, res: Resolution, unit: SourceUnit,
                 walk(e2)
             walk(node.value)
 
-
     walk(e)
 
 
@@ -215,36 +213,26 @@ def _lvalue(target: Expr) -> tuple[Expr, list[Expr]]:
     return target, indexes
 
 
-def stmt_accesses(stmt: Stmt, res: Resolution, unit: SourceUnit) -> list[Access]:
+def stmt_accesses(stmt: Stmt, res: Resolution) -> list[Access]:
     """Accesses of one statement, not descending into child statements."""
     out: list[Access] = []
     if isinstance(stmt, DeclStmt):
         for d in stmt.decls:
             for dim in d.dims:
-                expr_accesses(dim, res, unit, out)
+                expr_accesses(dim, res, out)
             if d.init is not None:
-                expr_accesses(d.init, res, unit, out)
+                expr_accesses(d.init, res, out)
         return out
     for e in stmt_exprs(stmt):
-        expr_accesses(e, res, unit, out)
+        expr_accesses(e, res, out)
     return out
 
 
-def subtree_accesses(stmt: Stmt, res: Resolution, unit: SourceUnit) -> list[Access]:
+def subtree_accesses(stmt: Stmt, res: Resolution) -> list[Access]:
     out = []
     for s in walk_stmts(stmt):
-        out.extend(stmt_accesses(s, res, unit))
+        out.extend(stmt_accesses(s, res))
     return out
-
-
-def _local_decls(stmt: Stmt) -> set[str]:
-    names = set()
-    for s in walk_stmts(stmt):
-        if isinstance(s, DeclStmt):
-            names.update(d.name for d in s.decls)
-        elif isinstance(s, For) and isinstance(s.init, DeclStmt):
-            names.update(d.name for d in s.init.decls)
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -252,25 +240,23 @@ def _local_decls(stmt: Stmt) -> set[str]:
 
 
 def infer_codelet_params(block_stmt: Stmt, accesses: list[Access],
-                         res: Resolution, unit: SourceUnit,
-                         reduction: Optional[tuple[str, str]] = None,
+                         reduction: Optional[Symbol] = None,
                          filename: str = "") -> list[Param]:
     """Free variables of the block in first-use order, shaped for the
-    accelerator signature; `accesses` are the block's `subtree_accesses`.
+    accelerator signature; `accesses` are the block's `subtree_accesses`
+    of symbols declared outside it.
 
     Scalars pass by value, 1-D arrays as sized pointers, matrices with
-    their declared dimensions.  A reduction variable becomes a
-    `<name>_reduced` pointer of size 1 in its first-use slot.
+    their declared dimensions.  The reduction variable `reduction` becomes
+    a `<name>_reduced` pointer of size 1 in its first-use slot, or last
+    when the block never names it.
     """
-    locals_ = _local_decls(block_stmt)
     reads: dict[str, bool] = {}
     writes: dict[str, bool] = {}
     order: list[Symbol] = []
     seen: set[str] = set()
     for a in accesses:
         name = a.symbol.name
-        if name in locals_:
-            continue
         if name not in seen:
             seen.add(name)
             order.append(a.symbol)
@@ -280,7 +266,7 @@ def infer_codelet_params(block_stmt: Stmt, accesses: list[Access],
             writes[name] = True
 
     params: list[Param] = []
-    red_var = reduction[1] if reduction else None
+    red_var = reduction.name if reduction else None
     for sym in order:
         if sym.name == red_var:
             params.append(Param(sym.name + "_reduced", sym.elem_type,
@@ -304,8 +290,7 @@ def infer_codelet_params(block_stmt: Stmt, accesses: list[Access],
                 "passed to the accelerator" % sym.name,
                 getattr(block_stmt, "line", None), None, filename)
     if red_var is not None and red_var not in seen:
-        sym = _fn_symbol(res, "", red_var, unit, block_stmt)
-        params.append(Param(red_var + "_reduced", sym.elem_type,
+        params.append(Param(red_var + "_reduced", reduction.elem_type,
                             pointer=True, io=None, size_expr=Num("1"),
                             reduced=True))
     return params
@@ -317,20 +302,6 @@ def _io_of(read, write) -> str:
     if write:
         return "out"
     return "in"
-
-
-def _fn_symbol(res: Resolution, fn_name: str, name: str, unit: SourceUnit,
-               stmt: Stmt = None) -> Symbol:
-    scope = res.fn_scopes.get(fn_name)
-    if scope is not None and name in scope:
-        return scope[name]
-    for fn_scope in res.fn_scopes.values():
-        if name in fn_scope:
-            return fn_scope[name]
-    if name in res.globals:
-        return res.globals[name]
-    raise TransformError("unknown symbol %r" % name,
-                         getattr(stmt, "line", None), None, unit.filename)
 
 
 # ---------------------------------------------------------------------------
@@ -416,25 +387,31 @@ def codelet_label(fn_name: str, line: int, tag: str) -> str:
 
 
 def outline_block(unit: SourceUnit, block: OmpBlock, flags: FlagSet,
-                  tag: str = "") -> Kernel:
+                  tag: str, res: Resolution) -> Kernel:
     """Rewrites `unit` in place: the block's loop nest moves verbatim (the
     same statement object, its pragmas dropped) into a fresh codelet
     function and a callsite takes its place, so callers that need the
-    original pass a copy."""
-    res = resolve(unit)
+    original pass a copy.  `res` resolves `unit` as it was before its
+    first outlining; the blocks of one unit share it."""
     if not isinstance(block.stmt, For):
         raise TransformError("annotated block must start with a for loop",
                              block.line, None, unit.filename)
     reduction = block.pragma.reduction
+    sym = None
     if reduction is not None:
-        sym = _fn_symbol(res, block.fn.name, reduction[1], unit, block.stmt)
+        sym = res.fn_scopes[block.fn.name].get(reduction[1])
+        if sym is None:
+            raise TransformError("unknown symbol %r" % reduction[1],
+                                 block.stmt.line, None, unit.filename)
         if sym.shape != "scalar":
             raise TransformError("reduction variable %r must be scalar"
                                  % reduction[1], block.line, None, unit.filename)
-    accesses = subtree_accesses(block.stmt, res, unit)
-    _check_scalar_liveness(unit, block, accesses, res)
-    params = infer_codelet_params(block.stmt, accesses, res, unit, reduction,
-                                  unit.filename)
+    # the block's own locals are the symbols it declares
+    inside = set(map(id, walk_stmts(block.stmt)))
+    free = [a for a in subtree_accesses(block.stmt, res)
+            if not (a.symbol.storage == "local" and id(a.symbol.decl) in inside)]
+    _check_scalar_liveness(unit, block, free, inside, res)
+    params = infer_codelet_params(block.stmt, free, sym, unit.filename)
     label = codelet_label(block.fn.name, block.line, tag)
 
     loop = block.stmt
@@ -466,36 +443,36 @@ def outline_block(unit: SourceUnit, block: OmpBlock, flags: FlagSet,
 
 
 def _check_scalar_liveness(unit: SourceUnit, block: OmpBlock,
-                           accesses: list[Access], res: Resolution):
+                           free: list[Access], inside: set[int],
+                           res: Resolution):
     """A scalar written inside the block stays by-value, so it must be dead
-    (re-written before any read) on the CPU afterwards."""
-    locals_ = _local_decls(block.stmt)
+    (re-written before any read) on the CPU afterwards.  `free` are the
+    block's accesses of outer symbols, `inside` the ids of its statements."""
     red_var = block.pragma.reduction[1] if block.pragma.reduction else None
-    written = set()
-    for a in accesses:
-        if (a.kind == "write" and a.symbol.shape == "scalar"
-                and a.symbol.name not in locals_ and a.symbol.name != red_var):
-            written.add(a.symbol.name)
+    written = {id(a.symbol) for a in free
+               if a.kind == "write" and a.symbol.shape == "scalar"
+               and a.symbol.name != red_var}
     if not written:
         return
     ordered = list(walk_stmts(block.fn.body))
-    inside = set(map(id, walk_stmts(block.stmt)))
-    after = ordered[ordered.index(block.stmt) + 1:]
-    for stmt in after:
+    # a block nested in one outlined before is no longer in its function;
+    # nothing follows it here, and `_replace_stmt` reports it
+    at = next((i for i, s in enumerate(ordered) if s is block.stmt),
+              len(ordered))
+    for stmt in ordered[at + 1:]:
         if id(stmt) in inside:
             continue
-        for a in stmt_accesses(stmt, res, unit):
-            name = a.symbol.name
-            if name not in written:
+        for a in stmt_accesses(stmt, res):
+            if id(a.symbol) not in written:
                 continue
             if a.kind == "read":
                 raise TransformError(
                     "scalar %r is written inside the accelerated block and "
                     "read afterwards on the CPU; by-value outlining would "
-                    "change its value (use a reduction)" % name,
+                    "change its value (use a reduction)" % a.symbol.name,
                     block.line, None, unit.filename)
             if a.kind == "write":
-                written.discard(name)
+                written.discard(id(a.symbol))
         if not written:
             return
 
@@ -538,57 +515,22 @@ def insert_codelets(unit: SourceUnit, kernels: list[Kernel]):
             at += 1
 
 
-def check_global_scope(codelet: CodeletDef, unit: SourceUnit) -> list[str]:
-    """Diagnostics for identifiers in the codelet body that resolve neither
-    to a parameter nor to a body-local declaration."""
+def check_global_scope(codelet: CodeletDef, res: Resolution) -> list[str]:
+    """Diagnostics for identifiers in the codelet body that resolve to a
+    global rather than to a parameter or a body-local declaration, and for
+    calls left un-inlined; `res` resolves the unit the codelet is in."""
     diags: list[str] = []
-    scope: list[set[str]] = [{p.name for p in codelet.params}]
-
-    def visible(name: str) -> bool:
-        return any(name in s for s in scope)
-
-    def check_expr(e: Expr):
-        for node in walk_exprs(e):
-            if isinstance(node, Name) and not visible(node.ident):
-                diags.append("codelet %s: identifier %r does not resolve to "
-                             "a parameter or local" % (codelet.label, node.ident))
-            elif isinstance(node, Call) and node.func not in MATH_BUILTINS:
-                diags.append("codelet %s: un-inlinable call to %r"
-                             % (codelet.label, node.func))
-
-    def walk(stmt: Stmt):
-        if isinstance(stmt, Block):
-            scope.append(set())
-            for s in stmt.stmts:
-                walk(s)
-            scope.pop()
-            return
-        if isinstance(stmt, DeclStmt):
-            for d in stmt.decls:
-                if d.init is not None:
-                    check_expr(d.init)
-                for dim in d.dims:
-                    check_expr(dim)
-                scope[-1].add(d.name)
-            return
-        if isinstance(stmt, For):
-            scope.append(set())
-            if isinstance(stmt.init, DeclStmt):
-                walk(stmt.init)
-            elif stmt.init is not None:
-                check_expr(stmt.init)
-            for e in (stmt.cond, stmt.update):
-                if e is not None:
-                    check_expr(e)
-            walk(stmt.body)
-            scope.pop()
-            return
+    for stmt in walk_stmts(codelet.body):
         for e in stmt_exprs(stmt):
-            check_expr(e)
-        for c in child_stmts(stmt):
-            walk(c)
-
-    walk(codelet.body)
+            for node in walk_exprs(e):
+                if (isinstance(node, Name)
+                        and res.symbol_of(node).storage == "global"):
+                    diags.append("codelet %s: identifier %r does not resolve "
+                                 "to a parameter or local"
+                                 % (codelet.label, node.ident))
+                elif isinstance(node, Call) and node.func not in MATH_BUILTINS:
+                    diags.append("codelet %s: un-inlinable call to %r"
+                                 % (codelet.label, node.func))
     return diags
 
 

@@ -7,7 +7,7 @@ import pytest
 from hmppgen.cli import main
 from hmppgen.parser import MAX_NESTING, parse_translation_unit, stmt_nesting
 
-from conftest import DATA, load
+from conftest import DATA, cc_run, load
 
 
 def run_cli(argv, capsys):
@@ -103,6 +103,33 @@ int main() {
     assert "recursive" in err
 
 
+def test_transform_nested_check_blocks_fail_with_a_diagnostic(tmp_path,
+                                                               capsys):
+    # outlining the outer block moves the inner one into its codelet
+    src = tmp_path / "nested.c"
+    src.write_text("""int main() {
+    int i, j, s;
+    double A[8][8];
+    #pragma omp parallel for check
+    for (i = 0; i < 8; i++) {
+        #pragma omp parallel for check
+        for (j = 0; j < 8; j++) {
+            s = j;
+            A[i][j] = s;
+        }
+    }
+    s = 0;
+    printf("%f %d\\n", A[3][3], s);
+    return 0;
+}
+""")
+    code, out, err = run_cli(["transform", src, "--out", tmp_path / "o"],
+                             capsys)
+    assert code == 1
+    assert err.splitlines() == [
+        "%s:7: internal: statement to outline not found" % src]
+
+
 def test_transform_inline_all_table9(tmp_path, capsys):
     code, out, err = run_cli(["transform", DATA / "table9.c",
                               "--out", tmp_path / "o", "--inline", "all"],
@@ -122,6 +149,39 @@ def test_transform_dump_analysis(tmp_path, capsys):
     text = dump.read_text()
     assert any(l.startswith("event result write GPU(")
                for l in text.splitlines())
+
+
+REDUCTION_NOT_NAMED = """int printf(const char *, ...);
+
+float g() {
+    float s = 1.0;
+    return s;
+}
+
+int main() {
+    int i;
+    double s = 0.0;
+    double A[8];
+    #pragma omp parallel for reduction(+:s) check
+    for (i = 0; i < 8; i++) {
+        A[i] = i;
+    }
+    printf("%f %f\\n", A[3], s);
+    return 0;
+}
+"""
+
+
+def test_transform_reduction_type_from_the_blocks_function(tmp_path, capsys):
+    # the loop never names `s`; its type is main's `double s`, not g's float
+    src = tmp_path / "red.c"
+    src.write_text(REDUCTION_NOT_NAMED)
+    code, out, err = run_cli(["transform", src, "--out", tmp_path / "o"],
+                             capsys)
+    assert code == 0
+    produced = (tmp_path / "o" / "red__0_0_1.c").read_text()
+    assert "double *s_reduced" in produced
+    assert "float *s_reduced" not in produced
 
 
 def test_transform_parse_error_exit_code(tmp_path, capsys):
@@ -234,6 +294,41 @@ def test_explore_fixed_only_has_baseline_row(tmp_path, capsys):
         ["Original(OpenMP),", "0, 0, 0"],
         ["Adv_loaddelStoreNoUpdate__9_1_0,", "9, 1, 0"]]
     assert (out_dir / "speedup.dat").exists()
+
+
+SHADOW = """int printf(const char *, ...);
+
+int main() {
+    int i;
+    double A[8];
+    double t = 3.0;
+    #pragma omp parallel for check
+    for (i = 0; i < 8; i++) {
+        A[i] = t;
+        {
+            double t = 1.0;
+            A[i] = A[i] + t;
+        }
+    }
+    printf("%f\\n", A[3]);
+    return 0;
+}
+"""
+
+
+def test_explore_block_local_shadows_outer_variable(tmp_path, capsys):
+    # the outer `t` is a parameter although the block declares its own `t`
+    src = tmp_path / "shadow.c"
+    src.write_text(SHADOW)
+    code, out, err = run_cli(["explore", src, "--out", tmp_path / "o",
+                              "--reps", "1"], capsys)
+    assert code == 0, err
+    variant = (tmp_path / "o" / "variants" / "shadow__0_0_1.c").read_text()
+    assert re.search(r"void _instr_for_ol_\d+_main\([^)]*double t\b",
+                     variant)
+    expected = cc_run(SHADOW, tmp_path, "original")
+    assert expected == "4.000000\n"
+    assert cc_run(variant, tmp_path, "variant") == expected
 
 
 def test_explore_cap_exceeded(tmp_path, capsys):

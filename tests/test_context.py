@@ -1,37 +1,31 @@
 import copy
 
 from hmppgen.context import (
-    build_context_table, build_transfer_plan, dump_context, dump_plan,
-    first_cpu_read_site, form_groups, last_cpu_write_site, load_point,
+    dump_context, dump_plan, first_cpu_read_site, form_groups,
+    last_cpu_write_site, load_point,
 )
+from hmppgen.emit import build_variant
 from hmppgen.nodes import DeclStmt, ExprStmt, For
 from hmppgen.parser import parse_translation_unit
-from hmppgen.transform import find_omp_blocks, insert_codelets, outline_block
-from hmppgen.variants import FlagSet, Signature, decode_signature
+from hmppgen.transform import find_omp_blocks
+from hmppgen.variants import (
+    BASELINE, FlagSet, Signature, UnitVariant, VariantPlan, decode_signature,
+)
 
 from conftest import parse_fixture
 
 
-def pipeline(src_or_unit, flags_by_block, tags=None):
-    """Outline annotated blocks and build the context table and plan."""
+def pipeline(src_or_unit, flags_by_block):
+    """Builds the variant giving each block its flags (baseline when absent)
+    and returns its unit, kernels, context table and transfer plan."""
     unit = (parse_translation_unit(src_or_unit)
-            if isinstance(src_or_unit, str) else copy.deepcopy(src_or_unit))
-    blocks = find_omp_blocks(unit)
-    groups = form_groups(unit, blocks, flags_by_block)
-    kernels = []
-    for b in blocks:
-        flags = flags_by_block.get(b.block_id)
-        if flags is None or flags.baseline:
-            continue
-        tag = (tags or {}).get(b.block_id)
-        if tag is None:
-            tag = str(groups[b.block_id].anchor_line) if b.block_id in groups \
-                else ""
-        kernels.append(outline_block(unit, b, flags, tag))
-    insert_codelets(unit, kernels)
-    table = build_context_table(unit, kernels)
-    plan = build_transfer_plan(unit, table, groups)
-    return unit, kernels, table, plan
+            if isinstance(src_or_unit, str) else src_or_unit)
+    plans = tuple(VariantPlan.of(b.block_id,
+                                 flags_by_block.get(b.block_id, BASELINE))
+                  for b in find_omp_blocks(unit))
+    rv = build_variant(unit, UnitVariant("test", plans,
+                                         tuple(range(len(plans)))))
+    return rv.unit, rv.kernels, rv.table, rv.plan
 
 
 FIG56_SRC = """int main() {

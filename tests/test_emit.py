@@ -46,20 +46,24 @@ def test_table5_golden():
     assert structurally_equal(rv.source, load("table5.golden.c"))
 
 
-def test_build_variant_resolves_once_per_kernel(monkeypatch):
-    # form_groups and build_context_table resolve once each, outline_block
-    # once per kernel: 2 + k for the two-kernel group variant
+def test_build_variant_resolves_twice(monkeypatch):
+    # once before outlining (group probe and every outlining) and once
+    # after inlining (context table and scope check), whatever the kernels
     import hmppgen.context
-    import hmppgen.transform
+    import hmppgen.emit
     calls = []
-    for module in (hmppgen.context, hmppgen.transform):
+    for module in (hmppgen.context, hmppgen.emit):
         def counted(unit, _resolve=module.resolve):
             calls.append(unit)
             return _resolve(unit)
         monkeypatch.setattr(module, "resolve", counted)
-    rv = build("table5.c", {1: (11, 3, 0), 2: (11, 3, 0)})
-    assert len(rv.kernels) == 2
-    assert len(calls) == 4
+    for name, sigs, kernels in (
+            ("table5.c", {1: (11, 3, 0), 2: (11, 3, 0)}, 2),
+            ("gemm64.c", {1: (0, 0, 1)}, 1)):
+        calls.clear()
+        rv = build(name, sigs)
+        assert len(rv.kernels) == kernels
+        assert len(calls) == 2, name
 
 
 def test_table5_key_structure():

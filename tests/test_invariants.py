@@ -77,14 +77,15 @@ def test_placement_dominance(name, eligible):
 def test_conflicting_flags_rejected_by_planner():
     from hmppgen.context import build_context_table, build_transfer_plan, \
         form_groups
+    from hmppgen.parser import resolve
     from hmppgen.transform import insert_codelets, outline_block
     import copy
     unit = parse_file(DATA / "gemm64.c")
     work = copy.deepcopy(unit)
     block = find_omp_blocks(work)[0]
     bad = FlagSet(noupdate=True)  # noupdate without any load
-    kernel = outline_block(work, block, bad)
+    kernel = outline_block(work, block, bad, "", resolve(work))
     insert_codelets(work, [kernel])
-    table = build_context_table(work, [kernel])
+    table = build_context_table(work, [kernel], resolve(work))
     with pytest.raises(PlanError):
         build_transfer_plan(work, table, {})

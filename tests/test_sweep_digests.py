@@ -1,4 +1,5 @@
-"""Pins the bytes of representative sweep and transform outputs.
+"""Pins the bytes of representative sweep and transform outputs, stderr
+included (as `stderr.txt`, with the data directory shown as `tests/data`).
 
 A refactoring that must not change outputs keeps these digests.  After a
 deliberate output change, regenerate them with
@@ -27,10 +28,11 @@ RUNS = [
     ("table3", "table3.c", ["explore", "--reps", "1"]),
     ("table5_analysis", "table5.c", ["transform", "--dump-analysis", None]),
     ("inline_run", "inline_run.c", ["transform", "--inline", "all"]),
+    ("global_helper", "global_helper.c", ["transform"]),
 ]
 
 DIGESTED = ("report.csv", "manifest.txt", "variants/manifest.txt",
-            "variants/*.c", "logs/*.log", "*.c", "analysis.txt")
+            "variants/*.c", "logs/*.log", "*.c", "analysis.txt", "stderr.txt")
 
 
 def sweep_digests(root: Path) -> list[str]:
@@ -42,9 +44,12 @@ def sweep_digests(root: Path) -> list[str]:
         out = root / name
         command, *rest = args
         rest = [str(out / "analysis.txt") if a is None else a for a in rest]
-        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
             code = main([command, str(DATA / source), "--out", str(out), *rest])
         assert code == 0, "%s exited %d" % (name, code)
+        (out / "stderr.txt").write_text(
+            err.getvalue().replace(str(DATA), "tests/data"), encoding="utf-8")
         files = sorted({p for pattern in DIGESTED for p in out.glob(pattern)})
         for path in files:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -6,19 +6,20 @@ import pytest
 from hmppgen.errors import TransformError
 from hmppgen.lexer import token_stream
 from hmppgen.parser import parse_translation_unit, resolve
-from hmppgen.printer import print_expr, print_unit
+from hmppgen.printer import print_expr
 from hmppgen.transform import (
-    check_global_scope, find_omp_blocks, gridify_spec, outline_block,
+    check_global_scope, find_omp_blocks, gridify_spec, insert_codelets,
+    outline_block,
 )
 from hmppgen.variants import FlagSet
 
-from conftest import load, parse_fixture
+from conftest import DATA, load, parse_fixture
 
 
 def outlined(name, tag=""):
     unit = copy.deepcopy(parse_fixture(name))
     block = find_omp_blocks(unit)[0]
-    kernel = outline_block(unit, block, FlagSet(), tag)
+    kernel = outline_block(unit, block, FlagSet(), tag, resolve(unit))
     return unit, kernel
 
 
@@ -116,7 +117,7 @@ def test_table1_callsite_matches_params():
 def test_outline_moves_the_loop():
     unit = copy.deepcopy(parse_fixture("table1.c"))
     block = find_omp_blocks(unit)[0]
-    k = outline_block(unit, block, FlagSet())
+    k = outline_block(unit, block, FlagSet(), "", resolve(unit))
     assert k.codelet.loop is block.stmt
 
 
@@ -151,7 +152,8 @@ def test_minimal_free_variable_set():
 }
 """
     unit = parse_translation_unit(src)
-    k = outline_block(unit, find_omp_blocks(unit)[0], FlagSet())
+    k = outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
+                      resolve(unit))
     assert [p.name for p in k.codelet.params] == ["y", "x"]
     assert {p.io for p in k.codelet.params} == {"out", "by-value-scalar"}
 
@@ -167,7 +169,8 @@ def test_block_with_no_free_variables():
 }
 """
     unit = parse_translation_unit(src)
-    k = outline_block(unit, find_omp_blocks(unit)[0], FlagSet())
+    k = outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
+                      resolve(unit))
     assert k.codelet.params == []
     assert k.callsite.args == []
 
@@ -192,7 +195,7 @@ def test_io_out_against_scan_oracle():
     writes = len(re.findall(r"\bout\s*\[[^]]*\]\s*=[^=]", body_text))
     reads = len(re.findall(r"[^[\w]out\s*\[[^]]*\](?!\s*=[^=])", body_text))
     assert writes > 0 and reads == 0
-    k = outline_block(unit, block, FlagSet())
+    k = outline_block(unit, block, FlagSet(), "", resolve(unit))
     assert {p.name: p.io for p in k.codelet.params}["out"] == "out"
 
 
@@ -215,7 +218,8 @@ def test_unknown_dims_is_an_error():
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        outline_block(unit, find_omp_blocks(unit)[0], FlagSet())
+        outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
+                      resolve(unit))
     assert "unknown dimensions" in str(exc.value)
 
 
@@ -233,7 +237,8 @@ def test_scalar_written_in_kernel_and_read_after_is_rejected():
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        outline_block(unit, find_omp_blocks(unit)[0], FlagSet())
+        outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
+                      resolve(unit))
     assert "reduction" in str(exc.value)
 
 
@@ -306,40 +311,49 @@ def test_reduction_of_array_is_rejected():
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        outline_block(unit, find_omp_blocks(unit)[0], FlagSet())
+        outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
+                      resolve(unit))
     assert "scalar" in str(exc.value)
 
 
 # -- scope checking --------------------------------------------------------------
 
 
+def scoped(name, tag=""):
+    """The outlined unit with its codelet inserted, as the scope check
+    sees it."""
+    unit, k = outlined(name, tag)
+    insert_codelets(unit, [k])
+    return unit, k
+
+
 def test_check_global_scope_clean_codelet():
-    unit, k = outlined("table5.c", tag="12")
-    assert check_global_scope(k.codelet, unit) == []
+    unit, k = scoped("table5.c", tag="12")
+    assert check_global_scope(k.codelet, resolve(unit)) == []
 
 
-def test_check_global_scope_reports_unresolved():
-    unit, k = outlined("table1.c")
-    # forge a body reference that is neither a param nor a local
-    import hmppgen.nodes as N
-    k.codelet.body.stmts.append(N.ExprStmt(
-        N.Assign("=", N.Index(N.Index(N.Name("gTable"), N.Num("0")),
-                              N.Num("0")), N.Num("1"))))
-    diags = check_global_scope(k.codelet, unit)
-    assert len(diags) == 1 and "gTable" in diags[0]
+def test_check_global_scope_reports_unresolved(tmp_path, capsys):
+    # the inlined helper reads the global `scale` inside the codelet
+    from hmppgen.cli import main
+    code = main(["transform", str(DATA / "global_helper.c"),
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err.splitlines() == [
+        "codelet _instr_for_ol_15_main: identifier 'scale' does not resolve "
+        "to a parameter or local"]
 
 
 def test_check_global_scope_flags_opaque_calls():
-    unit, k = outlined("table1.c")
+    unit, k = scoped("table1.c")
     import hmppgen.nodes as N
     k.codelet.body.stmts.append(N.ExprStmt(
         N.Call("displayRegion", [N.Name("result")])))
-    diags = check_global_scope(k.codelet, unit)
+    diags = check_global_scope(k.codelet, resolve(unit))
     assert any("displayRegion" in d and "un-inlinable" in d for d in diags)
 
 
 def test_math_builtins_allowed_in_codelets():
-    unit, k = outlined("table5.c", tag="12")
-    text = print_unit(unit)
+    unit, k = scoped("table5.c", tag="12")
     assert "cos(" in load("table5.c")
-    assert check_global_scope(k.codelet, unit) == []
+    assert check_global_scope(k.codelet, resolve(unit)) == []
