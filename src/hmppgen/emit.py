@@ -40,7 +40,6 @@ class RenderedVariant:
     signature_text: str
     filename_sig: str
     source: str
-    manifest: dict[str, int]
     unit: SourceUnit
     kernels: list[Kernel]
     plan: Optional[TransferPlan]
@@ -264,30 +263,25 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
         inline_calls_in_place(
             work, "all" if extra_inline == "all" else tuple(extra_inline))
 
-    source = print_unit(work)
-    manifest = _manifest_of(work)
     return RenderedVariant(
         name=uv.name, signature_text=uv.signature_text,
-        filename_sig=uv.filename_sig, source=source, manifest=manifest,
-        unit=work, kernels=kernels, plan=plan, table=table,
-        diagnostics=diagnostics)
+        filename_sig=uv.filename_sig, source=print_unit(work), unit=work,
+        kernels=kernels, plan=plan, table=table, diagnostics=diagnostics)
 
 
-def _manifest_of(unit: SourceUnit) -> dict[str, int]:
-    counts: dict[str, int] = {}
+def write_variant(rv: RenderedVariant, stem: str, out_dir) -> str:
+    """Writes `<stem>__<a>_<b>_<c>.c` into an existing directory and returns
+    the variant's manifest line: name, signature and file name."""
+    path = Path(out_dir) / ("%s__%s.c" % (stem, rv.filename_sig))
+    path.write_text(rv.source, encoding="utf-8")
+    return "%s\t%s\t%s" % (rv.name, rv.signature_text, path.name)
 
-    def count(pragmas):
-        for p in pragmas:
-            if isinstance(p, HmppDirective):
-                counts[p.kind] = counts.get(p.kind, 0) + 1
 
-    for fn in unit.functions:
-        count(fn.pragmas)
-        for stmt in walk_stmts(fn.body):
-            count(stmt.pragmas)
-            if isinstance(stmt, Block):
-                count(stmt.trailing_pragmas)
-    return counts
+def write_manifest(lines: list[str], out_dir) -> Path:
+    """Writes the line-oriented index of the variants in `out_dir`."""
+    index = Path(out_dir) / "manifest.txt"
+    index.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return index
 
 
 def write_variants(rendered: list[RenderedVariant], stem: str,
@@ -296,11 +290,5 @@ def write_variants(rendered: list[RenderedVariant], stem: str,
     index mapping variant name -> signature -> file path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for rv in rendered:
-        path = out / ("%s__%s.c" % (stem, rv.filename_sig))
-        path.write_text(rv.source, encoding="utf-8")
-        lines.append("%s\t%s\t%s" % (rv.name, rv.signature_text, path.name))
-    index = out / "manifest.txt"
-    index.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return index
+    return write_manifest([write_variant(rv, stem, out) for rv in rendered],
+                          out)

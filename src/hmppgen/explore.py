@@ -24,13 +24,15 @@ from pathlib import Path
 from typing import Optional
 
 from .context import TransferPlan, form_groups
-from .errors import ExploreError
+from .errors import AnalysisError, ExploreError, PlanError, TransformError
 from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
     FunctionDef, If, Name, Num, Paren, Return, SourceUnit, Stmt, Str, Unary,
     While, walk_exprs, walk_stmts,
 )
-from .emit import _PRIORITY, RenderedVariant, build_variant, write_variants
+from .emit import (
+    _PRIORITY, RenderedVariant, build_variant, write_manifest, write_variant,
+)
 from .transform import find_omp_blocks
 from .variants import (
     BASELINE, DEFAULT_VARIANT_CAP, FlagSet, VariantPlan, enumerate_variants,
@@ -741,8 +743,8 @@ def _run_shell_variant(rv: RenderedVariant, spec: ExecutorSpec, reps: int,
 def run_exploration(variants: list[RenderedVariant], executor: ExecutorSpec,
                     repetitions: int = 5,
                     log_dir=None) -> list[Measurement]:
-    """One Measurement per variant, medians over `repetitions` samples;
-    failures are recorded per variant without aborting the sweep."""
+    """One Measurement per variant, medians over `repetitions` samples; a
+    failure fails only its row.  Logs open with the build diagnostics."""
     if repetitions < 1:
         raise ExploreError("repetitions must be >= 1")
     executor.validate()
@@ -751,7 +753,7 @@ def run_exploration(variants: list[RenderedVariant], executor: ExecutorSpec,
         logs.mkdir(parents=True, exist_ok=True)
     out: list[Measurement] = []
     for rv in variants:
-        log_lines: list[str] = []
+        log_lines = ["diagnostic: %s" % d for d in rv.diagnostics]
         log = log_lines.append
         if executor.mode == "simulated":
             try:
@@ -768,9 +770,13 @@ def run_exploration(variants: list[RenderedVariant], executor: ExecutorSpec,
             m = _run_shell_variant(rv, executor, repetitions, work, log)
         out.append(m)
         if logs is not None:
-            (logs / ("%s.log" % rv.filename_sig)).write_text(
-                "\n".join(log_lines) + "\n", encoding="utf-8")
+            _write_log(logs, rv.filename_sig, log_lines)
     return out
+
+
+def _write_log(logs: Path, filename_sig: str, lines: list[str]):
+    (logs / ("%s.log" % filename_sig)).write_text(
+        "\n".join(lines) + "\n", encoding="utf-8")
 
 
 def block_plans(unit: SourceUnit,
@@ -799,12 +805,26 @@ def explore(unit: SourceUnit, out_dir,
             executor: Optional[ExecutorSpec] = None, repetitions: int = 5,
             cap: int = DEFAULT_VARIANT_CAP,
             lines: Optional[set[int]] = None) -> list[Measurement]:
-    """The whole sweep: enumerate the plan space, render every variant into
-    `out_dir/variants` (plus `manifest.txt`), execute each one with a log
-    in `out_dir/logs`, and return one Measurement per variant."""
-    out = Path(out_dir)
+    """The whole sweep, one variant at a time: build it, write it into
+    `out_dir/variants` (`manifest.txt` comes last), execute it with a log in
+    `out_dir/logs`, and drop it.  A variant that fails to build is a failed
+    Measurement logging the diagnostic, with no file or manifest line."""
+    executor = executor or ExecutorSpec()
+    variants, logs = Path(out_dir) / "variants", Path(out_dir) / "logs"
     unit_variants = plans_for_unit(block_plans(unit, lines), cap=cap)
-    rendered = [build_variant(unit, uv) for uv in unit_variants]
-    write_variants(rendered, Path(unit.filename).stem, out / "variants")
-    return run_exploration(rendered, executor or ExecutorSpec(),
-                           repetitions=repetitions, log_dir=out / "logs")
+    # validates the executor and makes the log directory before any output
+    measurements = run_exploration([], executor, repetitions, logs)
+    variants.mkdir(parents=True, exist_ok=True)
+    manifest = []
+    for uv in unit_variants:
+        try:
+            rv = build_variant(unit, uv)
+        except (TransformError, AnalysisError, PlanError) as e:
+            _write_log(logs, uv.filename_sig, ["not built: %s" % e])
+            measurements.append(
+                Measurement.failure(uv.name, uv.signature_text, str(e)))
+            continue
+        manifest.append(write_variant(rv, Path(unit.filename).stem, variants))
+        measurements += run_exploration([rv], executor, repetitions, logs)
+    write_manifest(manifest, variants)
+    return measurements

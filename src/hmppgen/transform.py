@@ -68,33 +68,36 @@ def _omp_pragma_of(stmt: Stmt) -> Optional[OmpPragma]:
 
 def find_omp_blocks(unit: SourceUnit) -> list[OmpBlock]:
     """All OpenMP blocks in source order; `omp for` loops inside an
-    `omp parallel` are reported as sub-blocks of that region."""
+    `omp parallel` are reported as sub-blocks of that region.  A check or
+    fixed block inside another one is a TransformError at its pragma."""
     out: list[OmpBlock] = []
-    counter = [0]
 
-    def block(pragma, stmt, fn, region=None):
-        counter[0] += 1
-        b = OmpBlock(counter[0], pragma, stmt, fn, pragma.line, region)
-        if region is not None:
-            region.blocks.append(b)
-        out.append(b)
-        return b
-
-    def visit(stmt: Stmt, fn: FunctionDef, region: Optional[OmpRegion]):
+    def visit(stmt: Stmt, fn: FunctionDef, region: Optional[OmpRegion],
+              annotated: Optional[OmpBlock]):
         p = _omp_pragma_of(stmt)
         if p is not None:
             if p.kind == "parallel":
                 inner = OmpRegion(p, stmt, p.line)
                 for c in child_stmts(stmt):
-                    visit(c, fn, inner)
+                    visit(c, fn, inner, annotated)
                 return
             if p.kind in ("parallel_for", "for"):
-                block(p, stmt, fn, region if p.kind == "for" else None)
+                b = OmpBlock(len(out) + 1, p, stmt, fn, p.line,
+                             region if p.kind == "for" else None)
+                if b.region is not None:
+                    b.region.blocks.append(b)
+                out.append(b)
+                if b.annotated and annotated is not None:
+                    raise TransformError(
+                        "check/fixed block nested inside the check/fixed "
+                        "block at line %d is not supported; annotate one of "
+                        "them" % annotated.line, b.line, None, unit.filename)
+                annotated = b if b.annotated else annotated
         for c in child_stmts(stmt):
-            visit(c, fn, region)
+            visit(c, fn, region, annotated)
 
     for fn in unit.functions:
-        visit(fn.body, fn, None)
+        visit(fn.body, fn, None, None)
     return out
 
 
@@ -455,10 +458,7 @@ def _check_scalar_liveness(unit: SourceUnit, block: OmpBlock,
     if not written:
         return
     ordered = list(walk_stmts(block.fn.body))
-    # a block nested in one outlined before is no longer in its function;
-    # nothing follows it here, and `_replace_stmt` reports it
-    at = next((i for i, s in enumerate(ordered) if s is block.stmt),
-              len(ordered))
+    at = next(i for i, s in enumerate(ordered) if s is block.stmt)
     for stmt in ordered[at + 1:]:
         if id(stmt) in inside:
             continue

@@ -6,6 +6,7 @@ import pytest
 
 from hmppgen.cli import main
 from hmppgen.parser import MAX_NESTING, parse_translation_unit, stmt_nesting
+from hmppgen.report import parse_csv
 
 from conftest import DATA, cc_run, load
 
@@ -105,7 +106,7 @@ int main() {
 
 def test_transform_nested_check_blocks_fail_with_a_diagnostic(tmp_path,
                                                                capsys):
-    # outlining the outer block moves the inner one into its codelet
+    # outlining the outer block would move the inner one into its codelet
     src = tmp_path / "nested.c"
     src.write_text("""int main() {
     int i, j, s;
@@ -123,11 +124,14 @@ def test_transform_nested_check_blocks_fail_with_a_diagnostic(tmp_path,
     return 0;
 }
 """)
-    code, out, err = run_cli(["transform", src, "--out", tmp_path / "o"],
-                             capsys)
-    assert code == 1
-    assert err.splitlines() == [
-        "%s:7: internal: statement to outline not found" % src]
+    for command in ("transform", "explore"):
+        code, out, err = run_cli([command, src, "--out", tmp_path / command],
+                                 capsys)
+        assert code == 1
+        assert err.splitlines() == [
+            "%s:6: check/fixed block nested inside the check/fixed block at "
+            "line 4 is not supported; annotate one of them" % src]
+        assert not (tmp_path / command).exists()
 
 
 def test_transform_inline_all_table9(tmp_path, capsys):
@@ -505,12 +509,28 @@ def test_inlining_nesting_limit(tmp_path, capsys):
                             "--reps", "1"], capsys)
     assert code == 0, err
 
+    # only the outlined variants inline `helper`: each is a failed row, and
+    # the baseline is still measured
     too_deep = tmp_path / "deep.c"
     too_deep.write_text(INLINED % blocks(MAX_NESTING - 6))
-    code, out, err = run_cli(["explore", too_deep, "--out", tmp_path / "d"],
-                             capsys)
-    assert code == 1
-    assert re.fullmatch(r"\S*deep\.c:10: inlining 'helper' here nests deeper "
-                        r"than %d levels, which is not supported\n"
-                        % MAX_NESTING, err), err
-    assert not (tmp_path / "d").exists()
+    out_dir = tmp_path / "d"
+    code, out, err = run_cli(["explore", too_deep, "--out", out_dir], capsys)
+    assert code == 0, err
+    reason = ("%s:10: inlining 'helper' here nests deeper than %d levels, "
+              "which is not supported" % (too_deep, MAX_NESTING))
+    rows = parse_csv((out_dir / "report.csv").read_text())
+    assert not rows[0].failed and rows[0].signature_text == "0, 0, 0"
+    assert len(rows) > 1
+    assert all(m.failed and m.reason == reason for m in rows[1:])
+    assert err.splitlines() == ["variant %s failed: %s" % (m.name, reason)
+                                for m in rows[1:]]
+    manifest = (out_dir / "variants" / "manifest.txt").read_text()
+    assert manifest.splitlines() == ["%s\t0, 0, 0\tdeep__0_0_0.c"
+                                     % rows[0].name]
+    assert [p.name for p in (out_dir / "variants").glob("*.c")] \
+        == ["deep__0_0_0.c"]
+    assert (out_dir / "logs" / "0_0_1.log").read_text() \
+        == "not built: %s\n" % reason
+    assert len(list((out_dir / "logs").glob("*.log"))) == len(rows)
+    assert (out_dir / "speedup.dat").exists()
+    assert (out_dir / "tradeoff.dat").exists()

@@ -1,13 +1,16 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hmppgen.emit import build_variant
 from hmppgen.errors import ExploreError
+import hmppgen.explore
 from hmppgen.explore import (
-    CostModelParams, ExecutorSpec, median, parse_executor_config,
+    CostModelParams, ExecutorSpec, explore, median, parse_executor_config,
     run_exploration, simulate_variant, wh_to_joules,
 )
 from hmppgen.parser import parse_translation_unit
@@ -216,6 +219,40 @@ def test_failures_do_not_abort_the_sweep():
 def test_repetitions_must_be_positive():
     with pytest.raises(ExploreError):
         run_exploration([], ExecutorSpec(), repetitions=0)
+
+
+# -- explore -----------------------------------------------------------------------
+
+
+def test_explore_keeps_one_variant_in_flight(tmp_path, monkeypatch):
+    build = hmppgen.explore.build_variant
+    built = []
+
+    def tracked(unit, uv, *args, **kwargs):
+        gc.collect()
+        assert sum(ref() is not None for ref in built) <= 1
+        rv = build(unit, uv, *args, **kwargs)
+        built.append(weakref.ref(rv))
+        return rv
+
+    monkeypatch.setattr(hmppgen.explore, "build_variant", tracked)
+    ms = explore(parse_fixture("gemm64.c"), tmp_path, repetitions=1)
+    assert len(built) == len(ms) > 2
+    assert not any(m.failed for m in ms)
+
+
+def test_explore_logs_build_diagnostics(tmp_path):
+    # every outlined variant inlines `scaled`, which reads the global `scale`
+    ms = explore(parse_fixture("global_helper.c"), tmp_path, repetitions=1)
+    assert len(ms) == 22 and not any(m.failed for m in ms)
+    logs = sorted((tmp_path / "logs").glob("*.log"))
+    assert len(logs) == 22
+    first_lines = [p.read_text().splitlines()[0] for p in logs]
+    assert first_lines.count(
+        "diagnostic: codelet _instr_for_ol_15_main: identifier 'scale' does "
+        "not resolve to a parameter or local") == 21
+    assert (tmp_path / "logs" / "0_0_0.log").read_text().startswith(
+        "simulated: ")
 
 
 # -- executor config -----------------------------------------------------------------
