@@ -1,26 +1,32 @@
 """Rendering transformed units into compilable C with canonical directives.
 
-`build_variant` runs the whole per-variant pipeline (outline, inline,
-context analysis, transfer planning, directive placement) and is the
-single entry point the driver and the exploration harness use.
+`build_variant` is the single entry point the driver and the exploration
+harness use.  It works in two steps.  The analysis of a program *shape*
+(which blocks are outlined, and which of those are group-flagged) copies
+the unit, outlines, inlines, resolves and builds the context table; no
+other flag reaches it, so every variant of one shape can share it.  The
+render of one variant gives the shape's kernels that variant's flags,
+plans the transfers and prints the shared tree with the variant's HMPP
+directives laid over it (`attach_directives` returns an `Overlay`; the
+tree itself is never changed after its analysis).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from .context import (
-    ContextTable, InsertionPoint, TransferPlan, build_context_table,
-    build_transfer_plan, form_groups,
+    ContextTable, GroupAssignment, InsertionPoint, TransferPlan,
+    build_context_table, build_transfer_plan, form_groups,
 )
 from .errors import PlanError
 from .nodes import Block, SourceUnit, walk_stmts
 from .parser import resolve
 from .pragmas import HmppArg, HmppDirective, OmpPragma
-from .printer import print_expr, print_unit
+from .printer import Overlay, print_expr, print_unit
 from .transform import (
     Kernel, OmpBlock, check_global_scope, find_omp_blocks,
     inline_calls_in_place, insert_codelets, kernel_path_targets, outline_block,
@@ -36,6 +42,11 @@ _PRIORITY = {
 
 @dataclass
 class RenderedVariant:
+    """One variant: `source` is its C text with every HMPP directive, and
+    `unit` is its shape's shared tree, which carries none of the
+    variant's codelet, callsite or transfer directives and must not be
+    changed."""
+
     name: str
     signature_text: str
     filename_sig: str
@@ -91,56 +102,41 @@ class _Attacher:
                 if isinstance(stmt, Block):
                     for i, s in enumerate(stmt.stmts):
                         self.parent[id(s)] = (stmt, i)
-        self.slots: dict[int, list] = {}  # id(stmt)|id(block) -> entries
-        self.trailing: dict[int, list] = {}
+        self.slots: dict[int, list] = {}  # id(stmt) -> entries
+        self.trailing: dict[int, list] = {}  # id(block) -> entries
         self.seq = 0
 
     def add(self, point: InsertionPoint, directive: HmppDirective):
         self.seq += 1
-        prio = _PRIORITY.get(directive.kind, 9)
+        entry = (_PRIORITY.get(directive.kind, 9), self.seq, directive)
         if point.position == "before":
-            self.slots.setdefault(id(point.anchor), []).append(
-                (prio, self.seq, directive, point.anchor))
+            self.slots.setdefault(id(point.anchor), []).append(entry)
             return
         if id(point.anchor) not in self.parent:
             raise PlanError("internal: insertion anchor is not inside a block")
         block, i = self.parent[id(point.anchor)]
         if i + 1 < len(block.stmts):
-            nxt = block.stmts[i + 1]
-            self.slots.setdefault(id(nxt), []).append(
-                (prio, self.seq, directive, nxt))
+            self.slots.setdefault(id(block.stmts[i + 1]), []).append(entry)
         else:
-            self.trailing.setdefault(id(block), []).append(
-                (prio, self.seq, directive, block))
+            self.trailing.setdefault(id(block), []).append(entry)
 
-    def apply(self):
-        for entries in self.slots.values():
-            entries.sort(key=lambda e: (e[0], e[1]))
-            anchor = entries[0][3]
-            anchor.pragmas = [e[2] for e in entries] + anchor.pragmas
-        for entries in self.trailing.values():
-            entries.sort(key=lambda e: (e[0], e[1]))
-            block = entries[0][3]
-            block.trailing_pragmas.extend(e[2] for e in entries)
+    def overlay(self) -> Overlay:
+        def ordered(slots):
+            return {key: [e[2] for e in sorted(entries)]
+                    for key, entries in slots.items()}
+        return Overlay(before=ordered(self.slots),
+                       trailing=ordered(self.trailing))
 
 
 def attach_directives(unit: SourceUnit, kernels: list[Kernel],
-                      plan: TransferPlan, table: ContextTable):
-    """Places every planned directive onto the rewritten tree.
+                      plan: TransferPlan, table: ContextTable) -> Overlay:
+    """Places every planned directive on the rewritten tree, as an overlay
+    for `print_unit`; the tree itself is left unchanged.
 
     Order at one callsite: group declaration, mapbyname, advancedloads,
     callsite, synchronize, delegatedstores, release.
     """
     att = _Attacher(unit)
-    label_fn = {}
-    for fn in unit.functions:
-        label_fn[fn.name] = fn
-    for k in kernels:
-        codelet_fn = label_fn.get(k.label)
-        if codelet_fn is not None:
-            codelet_fn.pragmas = [_codelet_directive(k, plan)]
-        k.callsite.pragmas = [_callsite_directive(k, plan)] + \
-            [p for p in k.callsite.pragmas if not isinstance(p, HmppDirective)]
     if kernels:
         first = table.fn.body.stmts[0]
         for gp in plan.groups:
@@ -167,7 +163,16 @@ def attach_directives(unit: SourceUnit, kernels: list[Kernel],
         att.add(rp.point, HmppDirective(
             kind="release", group=rp.name if rp.grouped else None,
             label=None if rp.grouped else rp.name))
-    att.apply()
+    overlay = att.overlay()
+    label_fn = {fn.name: fn for fn in unit.functions}
+    for k in kernels:
+        codelet_fn = label_fn.get(k.label)
+        if codelet_fn is not None:
+            overlay.codelets[id(codelet_fn)] = _codelet_directive(k, plan)
+        # the callsite directive follows the slot's earlier directives
+        overlay.before.setdefault(id(k.callsite), []).append(
+            _callsite_directive(k, plan))
+    return overlay
 
 
 def _grouped_transfers(plans):
@@ -214,9 +219,35 @@ def _dissolve_regions(blocks: list[OmpBlock],
                               for p in b.stmt.pragmas]
 
 
-def build_variant(unit: SourceUnit, uv: UnitVariant,
-                  extra_inline: "tuple[str, ...] | str" = ()) -> RenderedVariant:
-    """Applies one UnitVariant to a parsed unit and renders the result.
+@dataclass
+class Shape:
+    """The analysis every variant of one program shape shares: the
+    outlined, inlined tree, its kernels (with the flags of the variant
+    that was analysed first), the context table, the groups and the
+    scope diagnostics."""
+
+    unit: SourceUnit
+    kernels: list[Kernel]
+    table: Optional[ContextTable]
+    groups: dict[int, GroupAssignment]
+    diagnostics: list[str]
+
+
+def _shape_key(uv: UnitVariant, extra_inline: "tuple[str, ...] | str"):
+    """The outlined blocks, the group-flagged ones among them and the extra
+    inlining: all that the analysis before transfer planning reads."""
+    outlined = sorted(p.block_id for p in uv.plans if not p.flags.baseline)
+    grouped = sorted(p.block_id for p in uv.plans
+                     if not p.flags.baseline and p.flags.group)
+    inline = extra_inline if isinstance(extra_inline, str) \
+        else tuple(extra_inline)
+    return tuple(outlined), tuple(grouped), inline
+
+
+def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
+                   extra_inline: "tuple[str, ...] | str") -> Shape:
+    """Outlines the non-baseline blocks of a copy of `unit`, inlines and
+    builds the context table.
 
     The copy is resolved twice: before outlining (shared by the group
     probe and every block's outlining) and after the codelets are in
@@ -224,7 +255,6 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
     """
     work = copy.deepcopy(unit)
     blocks = find_omp_blocks(work)
-    flags_by_block = {p.block_id: p.flags for p in uv.plans}
     diagnostics = []
     res = resolve(work)
     groups = form_groups(work, blocks, flags_by_block, res)
@@ -242,7 +272,6 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
         kernels.append(outline_block(work, b, flags, tag, res))
     _dissolve_regions(blocks, flags_by_block)
 
-    plan = None
     table = None
     if kernels:
         insert_codelets(work, kernels)
@@ -256,16 +285,42 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
         table = build_context_table(work, kernels, res)
         for k in kernels:
             diagnostics.extend(check_global_scope(k.codelet, res))
-        plan = build_transfer_plan(work, table, groups)
-        diagnostics.extend(plan.diagnostics)
-        attach_directives(work, kernels, plan, table)
     elif extra_inline:
         inline_calls_in_place(
             work, "all" if extra_inline == "all" else tuple(extra_inline))
+    return Shape(work, kernels, table, groups, diagnostics)
 
+
+def build_variant(unit: SourceUnit, uv: UnitVariant,
+                  extra_inline: "tuple[str, ...] | str" = (),
+                  shapes: Optional[dict] = None) -> RenderedVariant:
+    """Applies one UnitVariant to a parsed unit and renders the result.
+
+    `shapes` caches the analysis by `_shape_key` across calls on the same
+    unit; without it every call analyses afresh.  `unit` is never changed.
+    """
+    flags_by_block = {p.block_id: p.flags for p in uv.plans}
+    key = _shape_key(uv, extra_inline)
+    shape = shapes.get(key) if shapes is not None else None
+    if shape is None:
+        shape = _analyse_shape(unit, flags_by_block, extra_inline)
+        if shapes is not None:
+            shapes[key] = shape
+    kernels = [replace(k, flags=flags_by_block[k.block_id])
+               for k in shape.kernels]
+    plan = None
+    table = None
+    overlay = None
+    diagnostics = list(shape.diagnostics)
+    if kernels:
+        table = replace(shape.table, kernels=kernels)
+        plan = build_transfer_plan(shape.unit, table, shape.groups)
+        diagnostics.extend(plan.diagnostics)
+        overlay = attach_directives(shape.unit, kernels, plan, table)
     return RenderedVariant(
         name=uv.name, signature_text=uv.signature_text,
-        filename_sig=uv.filename_sig, source=print_unit(work), unit=work,
+        filename_sig=uv.filename_sig,
+        source=print_unit(shape.unit, overlay), unit=shape.unit,
         kernels=kernels, plan=plan, table=table, diagnostics=diagnostics)
 
 

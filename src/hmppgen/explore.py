@@ -333,7 +333,7 @@ class _Replay:
         arrays = {name for name, sym in
                   (self.table.symbols.items() if self.table else ())
                   if sym.shape in ("array", "matrix")}
-        self.res = _Residency(self._symbol_sizes(), params, arrays)
+        self.res = _Residency(self._symbol_sizes(self.env), params, arrays)
         self.t_cpu = 0.0
         self.t_gpu = 0.0
         self.launches = 0
@@ -349,11 +349,10 @@ class _Replay:
 
     # -- static facts
 
-    def _symbol_sizes(self) -> dict[str, int]:
+    def _symbol_sizes(self, env: dict[str, float]) -> dict[str, int]:
         sizes = {}
         if self.table is None:
             return sizes
-        env = const_env(self.table.fn)
         for name, sym in self.table.symbols.items():
             if sym.shape in ("array", "matrix"):
                 n = 1.0
@@ -682,9 +681,16 @@ class Measurement:
         return cls(name, signature_text, None, None, [], True, reason)
 
 
+ENERGY_TIMEOUT_S = 30
+
+
 def _read_energy_wh(cmd: str) -> float:
-    proc = subprocess.run(cmd, shell=True, capture_output=True, text=True,
-                          timeout=30)
+    try:
+        proc = subprocess.run(cmd, shell=True, capture_output=True,
+                              text=True, timeout=ENERGY_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise ExploreError("energy source timed out after %ds"
+                           % ENERGY_TIMEOUT_S)
     if proc.returncode != 0:
         raise ExploreError("energy source unavailable: %s"
                            % (proc.stderr.strip() or "nonzero exit"))
@@ -807,8 +813,10 @@ def explore(unit: SourceUnit, out_dir,
             lines: Optional[set[int]] = None) -> list[Measurement]:
     """The whole sweep, one variant at a time: build it, write it into
     `out_dir/variants` (`manifest.txt` comes last), execute it with a log in
-    `out_dir/logs`, and drop it.  A variant that fails to build is a failed
-    Measurement logging the diagnostic, with no file or manifest line."""
+    `out_dir/logs`, and drop it.  The analysis of each program shape is
+    kept for the whole sweep and shared by its variants.  A variant that
+    fails to build is a failed Measurement logging the diagnostic, with no
+    file or manifest line."""
     executor = executor or ExecutorSpec()
     variants, logs = Path(out_dir) / "variants", Path(out_dir) / "logs"
     unit_variants = plans_for_unit(block_plans(unit, lines), cap=cap)
@@ -816,9 +824,10 @@ def explore(unit: SourceUnit, out_dir,
     measurements = run_exploration([], executor, repetitions, logs)
     variants.mkdir(parents=True, exist_ok=True)
     manifest = []
+    shapes = {}  # at most 3 per check block: baseline, outlined, grouped
     for uv in unit_variants:
         try:
-            rv = build_variant(unit, uv)
+            rv = build_variant(unit, uv, shapes=shapes)
         except (TransformError, AnalysisError, PlanError) as e:
             _write_log(logs, uv.filename_sig, ["not built: %s" % e])
             measurements.append(

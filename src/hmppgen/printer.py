@@ -2,10 +2,13 @@
 
 Printing adds no parentheses beyond explicit Paren nodes, so a
 parse/print round trip is token-equivalent to the input.  Formatting is
-fixed (4-space indent, pragmas at column 0) and deterministic.
+fixed (4-space indent, pragmas at column 0) and deterministic.  An
+`Overlay` adds directives to the printed text without changing the tree.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
@@ -14,6 +17,16 @@ from .nodes import (
 )
 
 INDENT = "    "
+
+
+@dataclass
+class Overlay:
+    """Directives printed over a tree that does not hold them, keyed by the
+    identity of the node they belong to."""
+
+    before: dict[int, list] = field(default_factory=dict)  # id(stmt)
+    trailing: dict[int, list] = field(default_factory=dict)  # id(block)
+    codelets: dict[int, object] = field(default_factory=dict)  # id(fn)
 
 
 def print_expr(e: Expr) -> str:
@@ -64,8 +77,13 @@ def print_param(p: Param) -> str:
 
 
 class _Printer:
-    def __init__(self):
+    def __init__(self, overlay: Overlay | None = None):
         self.lines: list[str] = []
+        self.overlay = overlay or Overlay()
+
+    def pragmas_of(self, s: Stmt) -> list:
+        """Overlay directives first, then the statement's own pragmas."""
+        return self.overlay.before.get(id(s), []) + s.pragmas
 
     def pragma_lines(self, pragmas):
         for p in pragmas:
@@ -73,7 +91,7 @@ class _Printer:
                 self.lines.append(line)
 
     def stmt(self, s: Stmt, depth: int):
-        self.pragma_lines(s.pragmas)
+        self.pragma_lines(self.pragmas_of(s))
         pad = INDENT * depth
         if isinstance(s, DeclStmt):
             self.lines.append(pad + _decl_fragment(s) + ";")
@@ -105,7 +123,8 @@ class _Printer:
         elif isinstance(s, If):
             self.attached_body("if (%s)" % print_expr(s.cond), s.then, depth)
             if s.orelse is not None:
-                if isinstance(s.orelse, Block) and not s.orelse.pragmas:
+                if isinstance(s.orelse, Block) \
+                        and not self.pragmas_of(s.orelse):
                     self.attached_body("else", s.orelse, depth)
                 else:
                     self.lines.append(INDENT * depth + "else")
@@ -115,7 +134,7 @@ class _Printer:
 
     def attached_body(self, head: str, body: Stmt, depth: int):
         pad = INDENT * depth
-        if isinstance(body, Block) and not body.pragmas:
+        if isinstance(body, Block) and not self.pragmas_of(body):
             self.lines.append(pad + head + " {")
             self.block_body(body, depth + 1)
             self.lines.append(pad + "}")
@@ -127,9 +146,11 @@ class _Printer:
         for s in block.stmts:
             self.stmt(s, depth)
         self.pragma_lines(block.trailing_pragmas)
+        self.pragma_lines(self.overlay.trailing.get(id(block), []))
 
     def function(self, fn: FunctionDef):
-        self.pragma_lines(fn.pragmas)
+        codelet = self.overlay.codelets.get(id(fn))
+        self.pragma_lines(fn.pragmas if codelet is None else [codelet])
         params = ", ".join(print_param(p) for p in fn.params)
         self.lines.append("%s %s(%s) {" % (fn.return_type, fn.name, params))
         self.block_body(fn.body, 1)
@@ -155,5 +176,5 @@ class _Printer:
         return "\n".join(self.lines) + "\n"
 
 
-def print_unit(unit: SourceUnit) -> str:
-    return _Printer().unit(unit)
+def print_unit(unit: SourceUnit, overlay: Overlay | None = None) -> str:
+    return _Printer(overlay).unit(unit)

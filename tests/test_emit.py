@@ -1,12 +1,15 @@
 import re
 
 from hmppgen.emit import build_variant, write_variants
+from hmppgen.explore import block_plans
 from hmppgen.lexer import token_stream
 from hmppgen.parser import parse_translation_unit
 from hmppgen.pragmas import HmppArg, HmppDirective
+from hmppgen.printer import print_unit
 from hmppgen.transform import find_omp_blocks
 from hmppgen.variants import (
     Signature, UnitVariant, VariantPlan, decode_signature, enumerate_variants,
+    plans_for_unit,
 )
 
 from conftest import load, parse_fixture, structurally_equal
@@ -179,3 +182,25 @@ def test_write_variants_and_manifest(tmp_path):
     assert len(lines) == 3
     name, sig, path = lines[0].split("\t")
     assert sig == "0, 0, 0" and path == "gemm64__0_0_0.c"
+
+
+def test_shared_shapes_render_like_fresh_builds_in_any_order():
+    # 43 variants in 3 interleaved shapes; a directive left on a shared
+    # tree by one variant would show in a later variant of its shape
+    unit = parse_fixture("pinned_pair.c")
+    original = print_unit(unit)
+    uvs = plans_for_unit(block_plans(unit))
+    fresh = [build_variant(unit, uv).source for uv in uvs]
+    assert len(uvs) == 43
+    shapes = {}
+    for uv, source in zip(uvs, fresh):
+        assert build_variant(unit, uv, shapes=shapes).source == source
+    assert len(shapes) == 3
+    bare = {key: print_unit(shape.unit) for key, shape in shapes.items()}
+    assert not any("#pragma hmpp" in text.replace("hmppcg", "")
+                   for text in bare.values())
+    for uv, source in reversed(list(zip(uvs, fresh))):
+        assert build_variant(unit, uv, shapes=shapes).source == source
+    assert {key: print_unit(shape.unit)
+            for key, shape in shapes.items()} == bare
+    assert print_unit(unit) == original

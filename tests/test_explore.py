@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import subprocess
 import weakref
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from hmppgen.emit import build_variant
 from hmppgen.errors import ExploreError
+import hmppgen.emit
 import hmppgen.explore
 from hmppgen.explore import (
     CostModelParams, ExecutorSpec, explore, median, parse_executor_config,
@@ -241,6 +243,22 @@ def test_explore_keeps_one_variant_in_flight(tmp_path, monkeypatch):
     assert not any(m.failed for m in ms)
 
 
+def test_explore_analyses_each_shape_once(tmp_path, monkeypatch):
+    # pinned_pair.c: 43 variants in 3 shapes of 0+1, 1+1 and 2 groupable
+    # kernels plus the pinned one, so 1 + 2 + 2 outlinings in all
+    outline = hmppgen.emit.outline_block
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].block_id)
+        return outline(*args, **kwargs)
+
+    monkeypatch.setattr(hmppgen.emit, "outline_block", counted)
+    ms = explore(parse_fixture("pinned_pair.c"), tmp_path, repetitions=1)
+    assert len(ms) == 43 and not any(m.failed for m in ms)
+    assert len(calls) == 5
+
+
 def test_explore_logs_build_diagnostics(tmp_path):
     # every outlined variant inlines `scaled`, which reads the global `scale`
     ms = explore(parse_fixture("global_helper.c"), tmp_path, repetitions=1)
@@ -345,3 +363,29 @@ def test_shell_build_timeout_fails_only_its_row(tmp_path):
     assert ms[0].failed and ms[0].reason == "build timeout after 0.3s"
     log = (tmp_path / "logs" / ("%s.log" % rv.filename_sig)).read_text()
     assert "build timeout" in log
+
+
+def test_hung_energy_source_fails_only_its_row(tmp_path, monkeypatch):
+    # the energy command hangs only around the second variant's run
+    rvs = [make_variant("gemm64.c", {1: sig})
+           for sig in ((0, 0, 0), (0, 0, 1), (8, 0, 0))]
+    energy = "sh %s" % _meter(tmp_path)
+    hung = "%s.c" % rvs[1].filename_sig
+    real_run = subprocess.run
+    builds = []
+
+    def run(cmd, *args, **kwargs):
+        if cmd.startswith("true "):
+            builds.append(cmd)
+        elif cmd == energy and hung in builds[-1]:
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        return real_run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(hmppgen.explore.subprocess, "run", run)
+    spec = ExecutorSpec(mode="shell", build="true {file} {exe}", run="true",
+                        timeout=5, energy_cmd=energy)
+    ms = run_exploration(rvs, spec, repetitions=1, log_dir=tmp_path / "logs")
+    assert [m.failed for m in ms] == [False, True, False]
+    assert ms[1].reason == "energy source timed out after 30s"
+    log = (tmp_path / "logs" / ("%s.log" % rvs[1].filename_sig)).read_text()
+    assert "rep 0: energy source timed out after 30s" in log

@@ -26,6 +26,7 @@ RUNS = [
     ("jacobi_t6", "jacobi_t6.c", ["explore", "--reps", "1"]),
     ("table1", "table1.c", ["explore", "--reps", "1"]),
     ("table3", "table3.c", ["explore", "--reps", "1"]),
+    ("pinned_pair", "pinned_pair.c", ["explore", "--reps", "1"]),
     ("table5_analysis", "table5.c", ["transform", "--dump-analysis", None]),
     ("inline_run", "inline_run.c", ["transform", "--inline", "all"]),
     ("global_helper", "global_helper.c", ["transform"]),
