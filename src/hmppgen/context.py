@@ -9,13 +9,14 @@ data, with as few whole-object transfers as possible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import AnalysisError, PlanError
 from .nodes import (
-    CallsiteStmt, DeclStmt, For, FunctionDef, SourceUnit, Stmt, Symbol, While,
-    child_stmts, walk_stmts,
+    CallsiteStmt, DeclStmt, For, FunctionDef, Param, SourceUnit, Stmt, Symbol,
+    While, child_stmts, walk_stmts,
 )
 from .parser import Resolution, resolve
 from .transform import (
@@ -38,7 +39,7 @@ CPU = Host("CPU")
 
 @dataclass
 class AccessEvent:
-    symbol: str
+    symbol: Symbol
     kind: str  # read | write | addr
     site: int
     stmt: Stmt
@@ -55,18 +56,27 @@ class InsertionPoint:
 @dataclass
 class ContextTable:
     fn: FunctionDef
-    events: dict[str, list[AccessEvent]] = field(default_factory=dict)
+    events: dict[Symbol, list[AccessEvent]] = field(default_factory=dict)
     kernels: list[Kernel] = field(default_factory=list)
     site_of: dict[int, int] = field(default_factory=dict)  # id(stmt) -> site
     loop_path_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
     stmt_at: dict[int, Stmt] = field(default_factory=dict)  # site -> stmt
-    symbols: dict[str, Symbol] = field(default_factory=dict)
+    # (kernel label, parameter name) -> the caller's symbol at the callsite
+    callers: dict[tuple[str, str], Symbol] = field(default_factory=dict)
 
     def add(self, ev: AccessEvent):
         self.events.setdefault(ev.symbol, []).append(ev)
 
-    def of(self, symbol: str) -> list[AccessEvent]:
+    def of(self, symbol: Symbol) -> list[AccessEvent]:
         return self.events.get(symbol, [])
+
+    def caller(self, k: Kernel, p: Param) -> Symbol:
+        """The variable kernel `k`'s callsite passes as parameter `p`."""
+        return self.callers[(k.label, p.name)]
+
+    def name_counts(self) -> Counter:
+        """How many of the table's symbols carry each name."""
+        return Counter(sym.name for sym in self.events)
 
     def kernel_of(self, label: str) -> Kernel:
         for k in self.kernels:
@@ -114,7 +124,6 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel],
                                 % ", ".join(sorted(fns)))
         fn = unit.function(fns.pop())
     table = ContextTable(fn=fn, kernels=list(kernels))
-    table.symbols = dict(res.fn_scopes.get(fn.name, {}))
     by_callsite = {id(k.callsite): k for k in kernels}
 
     site = [0]
@@ -131,7 +140,7 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel],
             _record_kernel_events(table, k, s, tuple(loop_stack), res)
         else:
             for a in stmt_accesses(stmt, res):
-                table.add(AccessEvent(a.symbol.name, a.kind, s, stmt, CPU,
+                table.add(AccessEvent(a.symbol, a.kind, s, stmt, CPU,
                                       tuple(loop_stack)))
         loop = isinstance(stmt, (For, While))
         if loop:
@@ -150,12 +159,14 @@ def _record_kernel_events(table: ContextTable, k: Kernel, site: int,
     host = Host("GPU", k.label)
     stmt = k.callsite
     # facts per parameter, from the codelet body
-    facts: dict[str, set[str]] = {}
+    facts: dict[Symbol, set[str]] = {}
     for a in subtree_accesses(k.codelet.body, res):
-        facts.setdefault(a.symbol.name, set()).add(a.kind)
+        facts.setdefault(a.symbol, set()).add(a.kind)
     for p, arg in zip(k.codelet.params, k.callsite.args):
-        sym = p.caller_symbol
-        kinds = facts.get(p.name, set())
+        # a reduction variable is passed as `&s`
+        sym = res.symbol_of(arg.operand if p.reduced else arg)
+        table.callers[(k.label, p.name)] = sym
+        kinds = facts.get(res.symbol_of_decl(p), set())
         if p.io == "by-value-scalar":
             table.add(AccessEvent(sym, "read", site, stmt, CPU, path))
             continue
@@ -169,7 +180,7 @@ def _record_kernel_events(table: ContextTable, k: Kernel, site: int,
 # queries
 
 
-def last_cpu_write_site(symbol: str, kernel: str,
+def last_cpu_write_site(symbol: Symbol, kernel: str,
                         table: ContextTable) -> InsertionPoint:
     """Point just after the last CPU write before the kernel, backtracking
     out of loops that do not enclose the callsite; falls back to the
@@ -183,8 +194,7 @@ def last_cpu_write_site(symbol: str, kernel: str,
                 and ev.site < ks:
             last = ev
     if last is None:
-        sym = table.symbols.get(symbol)
-        decl = sym.decl if sym is not None else None
+        decl = symbol.decl
         if isinstance(decl, DeclStmt) and id(decl) in table.site_of:
             return InsertionPoint(decl, "after")
         return InsertionPoint(_first_stmt(table.fn), "before")
@@ -195,7 +205,7 @@ def last_cpu_write_site(symbol: str, kernel: str,
     return InsertionPoint(last.stmt, "after")
 
 
-def first_cpu_read_site(symbol: str, kernel: str,
+def first_cpu_read_site(symbol: Symbol, kernel: str,
                         table: ContextTable) -> Optional[InsertionPoint]:
     """Point just before the first CPU read after the kernel, hoisted above
     loops that do not enclose the callsite; None when never read.
@@ -228,7 +238,7 @@ def _first_stmt(fn: FunctionDef) -> Stmt:
     return fn.body.stmts[0]
 
 
-def _wrapping_cpu_write(symbol: str, kernel: str, table: ContextTable,
+def _wrapping_cpu_write(symbol: Symbol, kernel: str, table: ContextTable,
                         anchor: Optional[InsertionPoint]) -> bool:
     """True when a CPU write of the symbol sits inside a loop that encloses
     the callsite but not the load anchor, so residency dies every
@@ -245,11 +255,10 @@ def _wrapping_cpu_write(symbol: str, kernel: str, table: ContextTable,
     return False
 
 
-def address_disabled(symbol: str, table: ContextTable) -> bool:
+def address_disabled(symbol: Symbol, table: ContextTable) -> bool:
     """Address taken on the CPU outside a callsite argument disables
     placement optimization for the symbol."""
-    sym = table.symbols.get(symbol)
-    if sym is None or sym.shape not in ("array", "matrix"):
+    if not symbol.is_array:
         return False
     for ev in table.of(symbol):
         if ev.kind == "addr" and ev.host.kind == "CPU" \
@@ -258,7 +267,7 @@ def address_disabled(symbol: str, table: ContextTable) -> bool:
     return False
 
 
-def load_point(symbol: str, kernel: str,
+def load_point(symbol: Symbol, kernel: str,
                table: ContextTable) -> Optional[InsertionPoint]:
     """Early-load point for a kernel input, or None when an early load buys
     nothing (the data is invalidated on the CPU every iteration anyway,
@@ -304,17 +313,14 @@ def form_groups(unit: SourceUnit, blocks: list[OmpBlock],
         return {}
     if res is None:
         res = resolve(unit)
-    arrays: dict[int, set[str]] = {}
+    arrays: dict[int, set[Symbol]] = {}
     for b in members:
-        syms = set()
-        for a in subtree_accesses(b.stmt, res):
-            if a.symbol.shape in ("array", "matrix"):
-                syms.add(a.symbol.name)
-        arrays[b.block_id] = syms
+        arrays[b.block_id] = {a.symbol for a in subtree_accesses(b.stmt, res)
+                              if a.symbol.is_array}
 
     order = {id(s): i for i, s in enumerate(walk_stmts(members[0].fn.body))}
 
-    def between_writes(b1: OmpBlock, b2: OmpBlock, sym: str) -> bool:
+    def between_writes(b1: OmpBlock, b2: OmpBlock, sym: Symbol) -> bool:
         lo, hi = sorted((order[id(b1.stmt)], order[id(b2.stmt)]))
         inside = set()
         for b in (b1, b2):
@@ -324,7 +330,7 @@ def form_groups(unit: SourceUnit, blocks: list[OmpBlock],
             if not (lo < pos < hi) or id(stmt) in inside:
                 continue
             for a in stmt_accesses(stmt, res):
-                if a.symbol.name == sym and a.kind in ("write", "addr"):
+                if a.symbol is sym and a.kind in ("write", "addr"):
                     return True
         return False
 
@@ -368,12 +374,12 @@ def form_groups(unit: SourceUnit, blocks: list[OmpBlock],
 class GroupPlan:
     label: str
     kernels: list[str]
-    mapbyname: list[str] = field(default_factory=list)
+    mapbyname: list[Symbol] = field(default_factory=list)
 
 
 @dataclass
 class LoadPlan:
-    symbol: str
+    symbol: Symbol
     point: InsertionPoint
     label: str
     group: Optional[str]
@@ -381,17 +387,17 @@ class LoadPlan:
 
 @dataclass
 class StorePlan:
-    symbol: str  # argument name in the pragma (may be `x_reduced`)
-    addr: str  # address expression for args[..].addr="..."
+    symbol: Symbol  # the caller's variable whose bytes move
+    param: Param  # the codelet parameter it comes back through
     point: InsertionPoint
     label: str
     group: Optional[str]
-    bytes_symbol: str = ""  # caller symbol whose bytes move
 
-    def __post_init__(self):
-        if not self.bytes_symbol:
-            self.bytes_symbol = self.symbol if not self.addr.startswith("&") \
-                else self.addr[1:]
+    @property
+    def addr(self) -> str:
+        """Address expression for args[..].addr="..." (`&s` for a
+        reduction variable)."""
+        return ("&" if self.param.reduced else "") + self.symbol.name
 
 
 @dataclass
@@ -413,19 +419,19 @@ class TransferPlan:
     groups: list[GroupPlan] = field(default_factory=list)
     loads: list[LoadPlan] = field(default_factory=list)
     stores: list[StorePlan] = field(default_factory=list)
-    noupdate: dict[str, list[str]] = field(default_factory=dict)
+    noupdate: dict[str, list[Symbol]] = field(default_factory=dict)
     asyncs: list[SyncPlan] = field(default_factory=list)
     releases: list[ReleasePlan] = field(default_factory=list)
-    io_override: dict[tuple[str, str], str] = field(default_factory=dict)
+    io_override: dict[tuple[str, Symbol], str] = field(default_factory=dict)
     group_of: dict[str, str] = field(default_factory=dict)  # kernel -> group
-    mapped: dict[str, list[str]] = field(default_factory=dict)  # group -> syms
+    mapped: dict[str, list[Symbol]] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
 
-    def is_mapped(self, kernel: str, symbol: str) -> bool:
+    def is_mapped(self, kernel: str, symbol: Symbol) -> bool:
         g = self.group_of.get(kernel)
         return g is not None and symbol in self.mapped.get(g, ())
 
-    def has_noupdate(self, kernel: str, symbol: str) -> bool:
+    def has_noupdate(self, kernel: str, symbol: Symbol) -> bool:
         return symbol in self.noupdate.get(kernel, ())
 
 
@@ -461,25 +467,23 @@ def build_transfer_plan(unit: SourceUnit, table: ContextTable,
         gp = GroupPlan(label, [k.label for k in ks])
         plan.groups.append(gp)
 
-    # per-group mapped (resident) symbols, in first kernel-use order;
-    # a symbol maps only when every member can rely on the early load
+    # per-group mapped (resident) symbols, in first kernel-use order; a
+    # symbol maps only when every member can rely on the early load and no
+    # other symbol in the function has its name: mapbyname stands at the
+    # top of the function and matches by name, so it would alias the two
+    names = table.name_counts()
     for gp in plan.groups:
-        members = [table.kernel_of(lbl) for lbl in gp.kernels]
-        seen: list[str] = []
-        for k in members:
+        users: dict[Symbol, list[Kernel]] = {}
+        for k in map(table.kernel_of, gp.kernels):
             for p in k.array_params:
-                sym = p.caller_symbol
-                if sym in seen:
-                    continue
-                users = [m for m in members
-                         if any(q.caller_symbol == sym for q in m.array_params)]
-                if all(load_point(sym, m.label, table) is not None
-                       for m in users):
-                    seen.append(sym)
-        gp.mapbyname = seen
-        plan.mapped[gp.label] = seen
+                users.setdefault(table.caller(k, p), []).append(k)
+        gp.mapbyname = [sym for sym, ks in users.items()
+                        if names[sym.name] == 1
+                        and all(load_point(sym, m.label, table) is not None
+                                for m in ks)]
+        plan.mapped[gp.label] = gp.mapbyname
         for k_label in gp.kernels:
-            for sym in seen:
+            for sym in gp.mapbyname:
                 plan.io_override[(k_label, sym)] = "in"
 
     _plan_loads(plan, table)
@@ -489,25 +493,25 @@ def build_transfer_plan(unit: SourceUnit, table: ContextTable,
     return plan
 
 
-def _kernel_outputs(k: Kernel) -> list[str]:
-    out = [p.caller_symbol for p in k.array_params if p.io in ("out", "inout")]
-    out.extend(p.caller_symbol for p in k.codelet.params if p.reduced)
-    return out
+def _kernel_outputs(k: Kernel, table: ContextTable) -> list[Symbol]:
+    out = [p for p in k.array_params if p.io in ("out", "inout")]
+    out.extend(p for p in k.codelet.params if p.reduced)
+    return [table.caller(k, p) for p in out]
 
 
 def _plan_loads(plan: TransferPlan, table: ContextTable):
-    loaded: dict[tuple[str, str], InsertionPoint] = {}  # (scope, sym) -> point
+    loaded: dict[tuple[str, Symbol], InsertionPoint] = {}  # (scope, sym)
     for k in table.kernels:
         group = plan.group_of.get(k.label)
         scope = group or k.label
         if not k.flags.advancedload:
             continue
         for p in k.array_params:
-            sym = p.caller_symbol
+            sym = table.caller(k, p)
             if address_disabled(sym, table):
                 plan.diagnostics.append(
                     "address of %r is taken; falling back to per-callsite "
-                    "transfers" % sym)
+                    "transfers" % sym.name)
                 continue
             mapped = plan.is_mapped(k.label, sym)
             group_read = group is not None and mapped and _group_reads(
@@ -526,7 +530,7 @@ def _plan_loads(plan: TransferPlan, table: ContextTable):
         if k.flags.noupdate:
             marks = []
             for p in k.array_params:
-                sym = p.caller_symbol
+                sym = table.caller(k, p)
                 if (scope, sym) in loaded or plan.is_mapped(k.label, sym):
                     marks.append(sym)
             if marks:
@@ -534,7 +538,7 @@ def _plan_loads(plan: TransferPlan, table: ContextTable):
 
 
 def _group_reads(plan: TransferPlan, table: ContextTable, group: str,
-                 sym: str) -> bool:
+                 sym: Symbol) -> bool:
     """True when any member of the group reads the symbol, making it a
     group-level input worth one shared upload."""
     labels = [l for gp in plan.groups if gp.label == group for l in gp.kernels]
@@ -546,14 +550,14 @@ def _group_reads(plan: TransferPlan, table: ContextTable, group: str,
 
 
 def _plan_stores(plan: TransferPlan, table: ContextTable):
-    stored: set[tuple[str, str]] = set()
+    stored: set[tuple[str, Symbol]] = set()
     for k in table.kernels:
         group = plan.group_of.get(k.label)
         scope = group or k.label
         for p in k.codelet.params:
             if not (p.is_array or p.reduced):
                 continue
-            sym = p.caller_symbol
+            sym = table.caller(k, p)
             is_output = (p.reduced or p.io in ("out", "inout"))
             if not is_output:
                 continue
@@ -570,8 +574,7 @@ def _plan_stores(plan: TransferPlan, table: ContextTable):
                     continue
                 point = (read if k.flags.delegatedstore
                          else InsertionPoint(k.callsite, "after"))
-                plan.stores.append(StorePlan(p.name, "&" + sym, point,
-                                             k.label, group, sym))
+                plan.stores.append(StorePlan(sym, p, point, k.label, group))
                 continue
             if not suppressed and not k.flags.delegatedstore:
                 continue  # auto download at the callsite
@@ -581,11 +584,11 @@ def _plan_stores(plan: TransferPlan, table: ContextTable):
             stored.add((scope, sym))
             point = (read if k.flags.delegatedstore
                      else InsertionPoint(writer.callsite, "after"))
-            plan.stores.append(StorePlan(sym, sym, point, writer.label, group))
+            plan.stores.append(StorePlan(sym, p, point, writer.label, group))
 
 
 def _last_writer(plan: TransferPlan, table: ContextTable, k: Kernel,
-                 sym: str) -> Kernel:
+                 sym: Symbol) -> Kernel:
     group = plan.group_of.get(k.label)
     if group is None:
         return k
@@ -605,7 +608,7 @@ def _plan_async(plan: TransferPlan, table: ContextTable):
             continue
         best: Optional[InsertionPoint] = None
         best_site = None
-        for sym in _kernel_outputs(k):
+        for sym in _kernel_outputs(k, table):
             point = first_cpu_read_site(sym, k.label, table)
             if point is None:
                 continue
@@ -647,33 +650,53 @@ def _plan_releases(plan: TransferPlan, table: ContextTable):
 # debug dumps (line oriented, for golden tests)
 
 
+def _display_names(table: ContextTable) -> dict[Symbol, str]:
+    """Each symbol's name, as `name@<declaration line>` when another
+    symbol in the table carries the same name."""
+    count = table.name_counts()
+    names = {}
+    for sym in table.events:
+        names[sym] = sym.name
+        if count[sym.name] > 1:
+            # a parameter is declared on its function's line
+            names[sym] += "@%d" % (sym.decl.line if isinstance(
+                sym.decl, DeclStmt) else table.fn.line)
+    return names
+
+
 def dump_context(table: ContextTable) -> str:
+    names = _display_names(table)
     lines = []
-    for sym in sorted(table.events):
+    for sym in sorted(table.events, key=lambda sym: sym.name):
         for ev in table.of(sym):
             lines.append("event %s %s %s site=%d loops=%s"
-                         % (sym, ev.kind, ev.host.render(), ev.site,
+                         % (names[sym], ev.kind, ev.host.render(), ev.site,
                             list(ev.loop_path)))
     return "\n".join(lines) + "\n"
 
 
 def dump_plan(plan: TransferPlan, table: ContextTable) -> str:
+    names = _display_names(table)
+
+    def listed(syms: list[Symbol]) -> str:
+        return ", ".join(names[sym] for sym in syms)
+
     lines = []
     for gp in plan.groups:
         lines.append("group %s kernels=[%s] mapbyname=[%s]"
-                     % (gp.label, ", ".join(gp.kernels),
-                        ", ".join(gp.mapbyname)))
+                     % (gp.label, ", ".join(gp.kernels), listed(gp.mapbyname)))
     for l in plan.loads:
         lines.append("advancedload %s %s site=%d label=%s"
-                     % (l.symbol, l.point.position, table.site(l.point.anchor),
-                        l.label))
+                     % (names[l.symbol], l.point.position,
+                        table.site(l.point.anchor), l.label))
     for s in plan.stores:
-        lines.append("delegatedstore %s addr=%s %s site=%d label=%s"
-                     % (s.symbol, s.addr, s.point.position,
+        lines.append("delegatedstore %s addr=%s%s %s site=%d label=%s"
+                     % (s.param.name, "&" if s.param.reduced else "",
+                        names[s.symbol], s.point.position,
                         table.site(s.point.anchor), s.label))
     for label in sorted(plan.noupdate):
         lines.append("noupdate %s [%s]" % (label,
-                                           ", ".join(plan.noupdate[label])))
+                                           listed(plan.noupdate[label])))
     for a in plan.asyncs:
         lines.append("asynchronous %s synchronize %s site=%d"
                      % (a.label, a.point.position, table.site(a.point.anchor)))

@@ -22,9 +22,9 @@ from .context import (
     ContextTable, GroupAssignment, InsertionPoint, TransferPlan,
     build_context_table, build_transfer_plan, form_groups,
 )
-from .errors import PlanError
+from .errors import PlanError, SourceError
 from .nodes import Block, SourceUnit, walk_stmts
-from .parser import resolve
+from .parser import Resolution, resolve
 from .pragmas import HmppArg, HmppDirective, OmpPragma
 from .printer import Overlay, print_expr, print_unit
 from .transform import (
@@ -45,13 +45,14 @@ class RenderedVariant:
     """One variant: `source` is its C text with every HMPP directive, and
     `unit` is its shape's shared tree, which carries none of the
     variant's codelet, callsite or transfer directives and must not be
-    changed."""
+    changed; `resolution` resolves it."""
 
     name: str
     signature_text: str
     filename_sig: str
     source: str
     unit: SourceUnit
+    resolution: Resolution
     kernels: list[Kernel]
     plan: Optional[TransferPlan]
     table: Optional[ContextTable]
@@ -62,7 +63,8 @@ def _compact(expr) -> str:
     return print_expr(expr).replace(" ", "")
 
 
-def _codelet_directive(k: Kernel, plan: TransferPlan) -> HmppDirective:
+def _codelet_directive(k: Kernel, plan: TransferPlan,
+                       table: ContextTable) -> HmppDirective:
     group = plan.group_of.get(k.label)
     args = []
     for p in k.codelet.params:
@@ -72,8 +74,9 @@ def _codelet_directive(k: Kernel, plan: TransferPlan) -> HmppDirective:
         if p.reduced:
             a.size = "1"
         else:
-            io = plan.io_override.get((k.label, p.caller_symbol), p.io)
-            if io != "in" or plan.is_mapped(k.label, p.caller_symbol):
+            sym = table.caller(k, p)
+            io = plan.io_override.get((k.label, sym), p.io)
+            if io != "in" or plan.is_mapped(k.label, sym):
                 a.io = io
             if p.size_expr is not None:
                 a.size = _compact(p.size_expr)
@@ -87,7 +90,8 @@ def _codelet_directive(k: Kernel, plan: TransferPlan) -> HmppDirective:
 
 def _callsite_directive(k: Kernel, plan: TransferPlan) -> HmppDirective:
     group = plan.group_of.get(k.label)
-    args = [HmppArg(s, noupdate=True) for s in plan.noupdate.get(k.label, [])]
+    args = [HmppArg(s.name, noupdate=True)
+            for s in plan.noupdate.get(k.label, [])]
     return HmppDirective(kind="callsite", group=group, label=k.label,
                          args=args, asynchronous=k.flags.asynchronous)
 
@@ -145,15 +149,15 @@ def attach_directives(unit: SourceUnit, kernels: list[Kernel],
             if gp.mapbyname:
                 att.add(InsertionPoint(first, "before"),
                         HmppDirective(kind="mapbyname", group=gp.label,
-                                      symbols=list(gp.mapbyname)))
+                                      symbols=[s.name for s in gp.mapbyname]))
     for key, loads in _grouped_transfers(plan.loads):
         group, label, point = key
-        args = [HmppArg(l.symbol, addr=l.symbol) for l in loads]
+        args = [HmppArg(l.symbol.name, addr=l.symbol.name) for l in loads]
         att.add(point, HmppDirective(kind="advancedload", group=group,
                                      label=label, args=args))
     for key, stores in _grouped_transfers(plan.stores):
         group, label, point = key
-        args = [HmppArg(s.symbol, addr=s.addr) for s in stores]
+        args = [HmppArg(s.param.name, addr=s.addr) for s in stores]
         att.add(point, HmppDirective(kind="delegatedstore", group=group,
                                      label=label, args=args))
     for sp in plan.asyncs:
@@ -168,7 +172,8 @@ def attach_directives(unit: SourceUnit, kernels: list[Kernel],
     for k in kernels:
         codelet_fn = label_fn.get(k.label)
         if codelet_fn is not None:
-            overlay.codelets[id(codelet_fn)] = _codelet_directive(k, plan)
+            overlay.codelets[id(codelet_fn)] = _codelet_directive(k, plan,
+                                                                  table)
         # the callsite directive follows the slot's earlier directives
         overlay.before.setdefault(id(k.callsite), []).append(
             _callsite_directive(k, plan))
@@ -222,11 +227,12 @@ def _dissolve_regions(blocks: list[OmpBlock],
 @dataclass
 class Shape:
     """The analysis every variant of one program shape shares: the
-    outlined, inlined tree, its kernels (with the flags of the variant
-    that was analysed first), the context table, the groups and the
-    scope diagnostics."""
+    outlined, inlined tree and its resolution, its kernels (with the
+    flags of the variant that was analysed first), the context table, the
+    groups and the scope diagnostics."""
 
     unit: SourceUnit
+    resolution: Resolution
     kernels: list[Kernel]
     table: Optional[ContextTable]
     groups: dict[int, GroupAssignment]
@@ -251,7 +257,9 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
 
     The copy is resolved twice: before outlining (shared by the group
     probe and every block's outlining) and after the codelets are in
-    place and inlined (shared by the context table and the scope check).
+    place and inlined (shared by the context table, the scope check and
+    the simulator).  With no kernels the second resolution follows only
+    an extra inlining.
     """
     work = copy.deepcopy(unit)
     blocks = find_omp_blocks(work)
@@ -288,7 +296,8 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
     elif extra_inline:
         inline_calls_in_place(
             work, "all" if extra_inline == "all" else tuple(extra_inline))
-    return Shape(work, kernels, table, groups, diagnostics)
+        res = resolve(work)
+    return Shape(work, res, kernels, table, groups, diagnostics)
 
 
 def build_variant(unit: SourceUnit, uv: UnitVariant,
@@ -297,15 +306,21 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
     """Applies one UnitVariant to a parsed unit and renders the result.
 
     `shapes` caches the analysis by `_shape_key` across calls on the same
-    unit; without it every call analyses afresh.  `unit` is never changed.
+    unit, a failed one as its diagnostic, which every later variant of the
+    shape raises again; without it every call analyses afresh.  `unit` is
+    never changed.
     """
     flags_by_block = {p.block_id: p.flags for p in uv.plans}
+    shapes = {} if shapes is None else shapes
     key = _shape_key(uv, extra_inline)
-    shape = shapes.get(key) if shapes is not None else None
-    if shape is None:
-        shape = _analyse_shape(unit, flags_by_block, extra_inline)
-        if shapes is not None:
-            shapes[key] = shape
+    if key not in shapes:
+        try:
+            shapes[key] = _analyse_shape(unit, flags_by_block, extra_inline)
+        except SourceError as e:
+            shapes[key] = e
+    shape = shapes[key]
+    if isinstance(shape, SourceError):
+        raise shape.with_traceback(None)
     kernels = [replace(k, flags=flags_by_block[k.block_id])
                for k in shape.kernels]
     plan = None
@@ -321,7 +336,7 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
         name=uv.name, signature_text=uv.signature_text,
         filename_sig=uv.filename_sig,
         source=print_unit(shape.unit, overlay), unit=shape.unit,
-        kernels=kernels, plan=plan, table=table, diagnostics=diagnostics)
+        resolution=shape.resolution, kernels=kernels, plan=plan, table=table, diagnostics=diagnostics)
 
 
 def write_variant(rv: RenderedVariant, stem: str, out_dir) -> str:

@@ -27,12 +27,13 @@ from .context import TransferPlan, form_groups
 from .errors import AnalysisError, ExploreError, PlanError, TransformError
 from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
-    FunctionDef, If, Name, Num, Paren, Return, SourceUnit, Stmt, Str, Unary,
-    While, walk_exprs, walk_stmts,
+    FunctionDef, If, Name, Num, Paren, Return, SourceUnit, Stmt, Str, Symbol,
+    Unary, While, walk_exprs, walk_stmts,
 )
 from .emit import (
     _PRIORITY, RenderedVariant, build_variant, write_manifest, write_variant,
 )
+from .parser import Resolution
 from .transform import find_omp_blocks
 from .variants import (
     BASELINE, DEFAULT_VARIANT_CAP, FlagSet, VariantPlan, enumerate_variants,
@@ -114,22 +115,25 @@ class SimResult:
 # -- static expression folding ------------------------------------------------
 
 
-def fold_expr(e: Expr, env: dict[str, float]) -> Optional[float]:
+def fold_expr(e: Expr, env: dict[Symbol, float],
+              res: Resolution) -> Optional[float]:
+    """The value of `e` when it folds from the constants `env` holds for
+    the symbols `res` resolves its names to; None otherwise."""
     if isinstance(e, Num):
         try:
             return float(e.lexeme)
         except ValueError:
             return None
     if isinstance(e, Paren):
-        return fold_expr(e.inner, env)
+        return fold_expr(e.inner, env, res)
     if isinstance(e, Name):
-        return env.get(e.ident)
+        return env.get(res.symbol_of(e))
     if isinstance(e, Unary) and e.op == "-" and e.prefix:
-        v = fold_expr(e.operand, env)
+        v = fold_expr(e.operand, env, res)
         return None if v is None else -v
     if isinstance(e, BinOp):
-        a = fold_expr(e.left, env)
-        b = fold_expr(e.right, env)
+        a = fold_expr(e.left, env, res)
+        b = fold_expr(e.right, env, res)
         if a is None or b is None:
             return None
         if e.op == "+":
@@ -143,16 +147,16 @@ def fold_expr(e: Expr, env: dict[str, float]) -> Optional[float]:
     return None
 
 
-def const_env(fn: FunctionDef) -> dict[str, float]:
-    """Initializer constants of the function's scalars, first value wins."""
-    env: dict[str, float] = {}
+def const_env(fn: FunctionDef, res: Resolution) -> dict[Symbol, float]:
+    """Initializer constants of the function's scalars."""
+    env: dict[Symbol, float] = {}
     for stmt in walk_stmts(fn.body):
         if isinstance(stmt, DeclStmt):
             for d in stmt.decls:
-                if d.init is not None and not d.dims and d.name not in env:
-                    v = fold_expr(d.init, env)
+                if d.init is not None and not d.dims:
+                    v = fold_expr(d.init, env, res)
                     if v is not None:
-                        env[d.name] = v
+                        env[res.symbol_of_decl(d)] = v
     return env
 
 
@@ -177,31 +181,34 @@ def stmt_own_ops(stmt: Stmt) -> int:
     return total
 
 
-def loop_trips(stmt: Stmt, env: dict[str, float]) -> float:
+def loop_trips(stmt: Stmt, env: dict[Symbol, float],
+               res: Resolution) -> float:
     """Statically folded trip count of a for or while loop; 1 when the
     bounds do not fold."""
     var = start = None
     if isinstance(stmt, For):
         if isinstance(stmt.init, DeclStmt) and len(stmt.init.decls) == 1:
-            var = stmt.init.decls[0].name
+            var = res.symbol_of_decl(stmt.init.decls[0])
             if stmt.init.decls[0].init is not None:
-                start = fold_expr(stmt.init.decls[0].init, env)
+                start = fold_expr(stmt.init.decls[0].init, env, res)
         elif isinstance(stmt.init, Assign) and isinstance(stmt.init.target, Name):
-            var = stmt.init.target.ident
-            start = fold_expr(stmt.init.value, env)
+            var = res.symbol_of(stmt.init.target)
+            start = fold_expr(stmt.init.value, env, res)
     cond = stmt.cond.inner if isinstance(stmt.cond, Paren) else stmt.cond
     if not (isinstance(cond, BinOp) and cond.op in ("<", "<=")
             and isinstance(cond.left, Name)):
         return 1.0
+    left = res.symbol_of(cond.left)
     if var is None:
-        var, start = cond.left.ident, env.get(cond.left.ident)
-    stop = fold_expr(cond.right, env)
-    if cond.left.ident != var or start is None or stop is None:
+        var, start = left, env.get(left)
+    stop = fold_expr(cond.right, env, res)
+    if left is not var or start is None or stop is None:
         return 1.0
     return max(stop - start + (1 if cond.op == "<=" else 0), 0.0)
 
 
-def static_ops(stmt: Stmt, env: dict[str, float]) -> float:
+def static_ops(stmt: Stmt, env: dict[Symbol, float],
+               res: Resolution) -> float:
     """Operation count of a statement subtree with loop trips folded in."""
     env = dict(env)
 
@@ -213,13 +220,13 @@ def static_ops(stmt: Stmt, env: dict[str, float]) -> float:
                 if isinstance(s.init, DeclStmt):
                     for d in s.init.decls:
                         if d.init is not None:
-                            v = fold_expr(d.init, env)
+                            v = fold_expr(d.init, env, res)
                             if v is not None:
-                                env[d.name] = v
+                                env[res.symbol_of_decl(d)] = v
                         header += expr_ops(d.init)
             else:
                 header = expr_ops(s.cond)
-            trips = loop_trips(s, env)
+            trips = loop_trips(s, env, res)
             return trips * (header + walk(s.body))
         if isinstance(s, Block):
             return total + sum(walk(c) for c in s.stmts)
@@ -228,9 +235,9 @@ def static_ops(stmt: Stmt, env: dict[str, float]) -> float:
             return total + branches
         if isinstance(s, ExprStmt) and isinstance(s.expr, Assign) \
                 and isinstance(s.expr.target, Name):
-            v = fold_expr(s.expr.value, env)
+            v = fold_expr(s.expr.value, env, res)
             if v is not None and s.expr.op == "=":
-                env[s.expr.target.ident] = v
+                env[res.symbol_of(s.expr.target)] = v
         return total
 
     return walk(stmt)
@@ -240,19 +247,20 @@ def static_ops(stmt: Stmt, env: dict[str, float]) -> float:
 
 
 class _Residency:
-    """Whole-object transfer state: logical uploads move changed host data,
-    logical downloads move accelerator-written data back."""
+    """Whole-object transfer state per symbol: logical uploads move changed
+    host data, logical downloads move accelerator-written data back.
+    Sizes fold each symbol's declared dimensions in `env`."""
 
-    def __init__(self, sizes: dict[str, int], params: CostModelParams,
-                 array_syms: Optional[set] = None):
-        self.sizes = sizes
+    def __init__(self, env: dict[Symbol, float], resolution: Resolution,
+                 params: CostModelParams):
+        self.env = env
+        self.resolution = resolution
         self.params = params
-        self.array_syms = array_syms or set()
-        self.host_version: dict[str, int] = {}
-        self.uploaded_version: dict[str, int] = {}
-        self.device_has: dict[tuple[str, str], bool] = {}
-        self.gpu_dirty: dict[str, bool] = {}
-        self.cpu_fresh: dict[str, bool] = {}
+        self.host_version: dict[Symbol, int] = {}
+        self.uploaded_version: dict[Symbol, int] = {}
+        self.device_has: dict[tuple[str, Symbol], bool] = {}
+        self.gpu_dirty: dict[Symbol, bool] = {}
+        self.cpu_fresh: dict[Symbol, bool] = {}
         self.h2d_count = 0
         self.d2h_count = 0
         self.h2d_array_count = 0
@@ -262,51 +270,55 @@ class _Residency:
         self.t_h2d = 0.0
         self.t_d2h = 0.0
 
-    def _size(self, sym: str) -> int:
-        return self.sizes.get(sym, ELEM_BYTES["double"])
+    def _size(self, sym: Symbol) -> int:
+        n = 1.0
+        for d in sym.dims:
+            v = fold_expr(d, self.env, self.resolution)
+            n *= v if v is not None else 1.0
+        return int(n) * ELEM_BYTES.get(sym.elem_type, 8)
 
-    def cpu_write(self, sym: str):
+    def cpu_write(self, sym: Symbol):
         self.host_version[sym] = self.host_version.get(sym, 0) + 1
         self.cpu_fresh[sym] = True
         for key in list(self.device_has):
             if key[1] == sym:
                 self.device_has[key] = False
 
-    def cpu_read(self, sym: str):
+    def cpu_read(self, sym: Symbol):
         if self.gpu_dirty.get(sym) and not self.cpu_fresh.get(sym, True):
             raise ExploreError(
                 "unsound plan: CPU reads %r before the accelerator value "
-                "was stored back" % sym)
+                "was stored back" % sym.name)
 
-    def upload(self, scope: str, sym: str):
+    def upload(self, scope: str, sym: Symbol):
         hv = self.host_version.get(sym, 0)
         if self.uploaded_version.get(sym) != hv:
             self.uploaded_version[sym] = hv
             size = self._size(sym)
             self.h2d_count += 1
-            if sym in self.array_syms:
+            if sym.is_array:
                 self.h2d_array_count += 1
             self.h2d_bytes += size
             self.t_h2d += size / self.params.h2d_bandwidth
         self.device_has[(scope, sym)] = True
 
-    def gpu_read(self, scope: str, sym: str):
+    def gpu_read(self, scope: str, sym: Symbol):
         if not self.device_has.get((scope, sym)):
             raise ExploreError(
                 "unsound plan: accelerator reads %r with no prior load or "
-                "in-group producer" % sym)
+                "in-group producer" % sym.name)
 
-    def gpu_write(self, scope: str, sym: str):
+    def gpu_write(self, scope: str, sym: Symbol):
         self.gpu_dirty[sym] = True
         self.cpu_fresh[sym] = False
         self.device_has[(scope, sym)] = True
 
-    def download(self, sym: str):
+    def download(self, sym: Symbol):
         if self.gpu_dirty.get(sym):
             self.gpu_dirty[sym] = False
             size = self._size(sym)
             self.d2h_count += 1
-            if sym in self.array_syms:
+            if sym.is_array:
                 self.d2h_array_count += 1
             self.d2h_bytes += size
             self.t_d2h += size / self.params.d2h_bandwidth
@@ -329,11 +341,10 @@ class _Replay:
         self.params = params
         self.table = rv.table
         self.plan: TransferPlan = rv.plan
-        self.env = const_env(self.table.fn) if self.table else {}
-        arrays = {name for name, sym in
-                  (self.table.symbols.items() if self.table else ())
-                  if sym.shape in ("array", "matrix")}
-        self.res = _Residency(self._symbol_sizes(self.env), params, arrays)
+        self.resolution = rv.resolution
+        self.env = const_env(self.table.fn, rv.resolution) \
+            if self.table else {}
+        self.res = _Residency(self.env, rv.resolution, params)
         self.t_cpu = 0.0
         self.t_gpu = 0.0
         self.launches = 0
@@ -348,21 +359,6 @@ class _Replay:
         self.stmt_events = self._index_events()
 
     # -- static facts
-
-    def _symbol_sizes(self, env: dict[str, float]) -> dict[str, int]:
-        sizes = {}
-        if self.table is None:
-            return sizes
-        for name, sym in self.table.symbols.items():
-            if sym.shape in ("array", "matrix"):
-                n = 1.0
-                for d in sym.dims:
-                    v = fold_expr(d, env)
-                    n *= v if v is not None else 1.0
-                sizes[name] = int(n) * ELEM_BYTES.get(sym.elem_type, 8)
-            else:
-                sizes[name] = ELEM_BYTES.get(sym.elem_type, 8)
-        return sizes
 
     def _index_actions(self) -> dict[tuple[str, int], list]:
         out: dict[tuple[str, int], list] = {}
@@ -388,28 +384,26 @@ class _Replay:
         if self.table is None:
             return out
         for sym, events in self.table.events.items():
-            s = self.table.symbols.get(sym)
-            tracked = s is not None and (
-                s.shape in ("array", "matrix") or self._sym_has_gpu(sym))
-            if not tracked:
+            if not (sym.is_array or self._sym_has_gpu(sym)):
                 continue
             for ev in events:
                 if ev.host.kind == "CPU":
                     out.setdefault(id(ev.stmt), []).append((sym, ev.kind))
         return out
 
-    def _sym_has_gpu(self, sym: str) -> bool:
+    def _sym_has_gpu(self, sym: Symbol) -> bool:
         return any(ev.host.kind == "GPU" for ev in self.table.of(sym))
 
     def _kernel_ops(self, k) -> float:
         if k.label not in self.kernel_op_cache:
-            env = dict(self.env)
+            res = self.resolution
             kenv = {}
             for p, arg in zip(k.codelet.params, k.callsite.args):
-                v = fold_expr(arg, env)
+                v = fold_expr(arg, self.env, res)
                 if v is not None:
-                    kenv[p.name] = v
-            self.kernel_op_cache[k.label] = static_ops(k.codelet.body, kenv)
+                    kenv[res.symbol_of_decl(p)] = v
+            self.kernel_op_cache[k.label] = static_ops(k.codelet.body, kenv,
+                                                       res)
         return self.kernel_op_cache[k.label]
 
     def _function_ops(self, name: str) -> float:
@@ -417,7 +411,8 @@ class _Replay:
             ops = 0.0
             for f in self.rv.unit.functions:
                 if f.name == name:
-                    ops = static_ops(f.body, const_env(f))
+                    ops = static_ops(f.body, const_env(f, self.resolution),
+                                     self.resolution)
             self.fn_ops_cache[name] = ops
         return self.fn_ops_cache[name]
 
@@ -450,7 +445,7 @@ class _Replay:
                 scope = payload.group or payload.label
                 self.res.upload(scope, payload.symbol)
             elif kind == "store":
-                self.res.download(payload.bytes_symbol)
+                self.res.download(payload.symbol)
             elif kind == "sync":
                 self._finish_async(payload.label)
 
@@ -498,7 +493,7 @@ class _Replay:
         self._run_actions("after", stmt)
 
     def _run_loop(self, stmt):
-        trips = loop_trips(stmt, self.env)
+        trips = loop_trips(stmt, self.env, self.resolution)
         if isinstance(stmt, For):
             header = expr_ops(stmt.cond) + expr_ops(stmt.update)
             if isinstance(stmt.init, Expr):
@@ -542,13 +537,13 @@ class _Replay:
     def _run_callsite(self, k):
         plan = self.plan
         scope = plan.group_of.get(k.label) or k.label
-        planned_stores = {(s.label, s.bytes_symbol) for s in plan.stores}
+        planned_stores = {(s.label, s.symbol) for s in plan.stores}
         # by-value argument evaluation happens on the CPU
         self._cpu_time(float(sum(expr_ops(a) for a in k.callsite.args)))
         for p in k.codelet.params:
             if p.io == "by-value-scalar":
                 continue
-            sym = p.caller_symbol
+            sym = self.table.caller(k, p)
             mapped = plan.is_mapped(k.label, sym)
             noup = plan.has_noupdate(k.label, sym)
             reads = p.reduced or p.io in ("in", "inout")
@@ -565,7 +560,7 @@ class _Replay:
         for p in k.codelet.params:
             if p.io == "by-value-scalar":
                 continue
-            sym = p.caller_symbol
+            sym = self.table.caller(k, p)
             if not (p.reduced or p.io in ("out", "inout")):
                 continue
             self.res.gpu_write(scope, sym)
@@ -589,17 +584,18 @@ def simulate_variant(rv: RenderedVariant,
     params.validate()
     if rv.table is None:
         # untransformed baseline: everything runs on the CPU
-        unit = rv.unit
+        unit, res = rv.unit, rv.resolution
         main = unit.function("main") if any(
             f.name == "main" for f in unit.functions) else unit.functions[-1]
-        ops = static_ops(main.body, const_env(main))
+        ops = static_ops(main.body, const_env(main, res), res)
         for stmt in walk_stmts(main.body):
             if isinstance(stmt, ExprStmt):
                 for node in walk_exprs(stmt.expr):
                     if isinstance(node, Call):
                         for f in unit.functions:
                             if f.name == node.func:
-                                ops += static_ops(f.body, const_env(f))
+                                ops += static_ops(f.body, const_env(f, res),
+                                                  res)
         t = ops / params.cpu_throughput
         energy = (params.power_cpu_active + params.power_memory) * t
         return SimResult(t, energy, 0, 0, 0, 0, 0, 0, 0, 0.0, ops)

@@ -173,10 +173,6 @@ class Param:
     reduced: bool = False  # pointer standing in for a reduction scalar
 
     @property
-    def caller_symbol(self) -> str:
-        return self.name[:-len("_reduced")] if self.reduced else self.name
-
-    @property
     def is_array(self) -> bool:
         return bool(self.dims) or (self.pointer and not self.reduced)
 
@@ -207,8 +203,11 @@ class GlobalDecl:
     decl_stmt: DeclStmt
 
 
-@dataclass
+@dataclass(eq=False)
 class Symbol:
+    """One declaration.  Symbols compare and hash by identity, so two
+    declarations sharing a name are two keys."""
+
     name: str
     elem_type: str
     dims: tuple = ()  # dim expressions; () scalar, 1 entry array, 2 entries matrix
@@ -226,6 +225,10 @@ class Symbol:
         if len(self.dims) == 1:
             return "array"
         return "matrix"
+
+    @property
+    def is_array(self) -> bool:
+        return self.shape in ("array", "matrix")
 
 
 @dataclass

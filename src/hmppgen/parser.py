@@ -466,14 +466,25 @@ def _postfix_nesting(e: Expr) -> tuple[int, int]:
 
 @dataclass
 class Resolution:
-    """Links every identifier use to the Symbol that declares it."""
+    """Links every identifier use and every declaration to its Symbol, and
+    each OpenMP reduction clause to the Symbol visible at its statement."""
 
     name_symbol: dict[int, Symbol] = field(default_factory=dict)
-    globals: dict[str, Symbol] = field(default_factory=dict)
-    fn_scopes: dict[str, dict[str, Symbol]] = field(default_factory=dict)
+    decl_symbol: dict[int, Symbol] = field(default_factory=dict)
+    functions: set[str] = field(default_factory=set)  # defined function names
+    reductions: dict[int, Symbol | None] = field(default_factory=dict)
 
     def symbol_of(self, name_node: Name) -> Symbol | None:
         return self.name_symbol.get(id(name_node))
+
+    def symbol_of_decl(self, decl: VarDecl | Param) -> Symbol:
+        """The Symbol a variable declaration or parameter introduces."""
+        return self.decl_symbol[id(decl)]
+
+    def reduction_of(self, stmt: Stmt) -> Symbol | None:
+        """The variable `stmt`'s OpenMP reduction clause names, as declared
+        where the statement stands; None when no declaration is visible."""
+        return self.reductions.get(id(stmt))
 
 
 def resolve(unit: SourceUnit) -> Resolution:
@@ -482,36 +493,43 @@ def resolve(unit: SourceUnit) -> Resolution:
     Parameter array dims are exempt: accelerator argument sizes are
     evaluated in the caller's context, not the kernel's.
     """
-    res = Resolution()
+    res = Resolution(functions={fn.name for fn in unit.functions})
+    globals_: dict[str, Symbol] = {}
     for g in unit.globals:
         for d in g.decl_stmt.decls:
-            if d.name in res.globals:
+            if d.name in globals_:
                 raise CParseError("duplicate global %r" % d.name,
                                   g.decl_stmt.line, None, unit.filename)
-            res.globals[d.name] = Symbol(d.name, d.elem_type, tuple(d.dims),
-                                         "global", d.pointer, decl=g.decl_stmt)
+            globals_[d.name] = res.decl_symbol[id(d)] = Symbol(
+                d.name, d.elem_type, tuple(d.dims), "global", d.pointer,
+                decl=g.decl_stmt)
     for fn in unit.functions:
-        _resolve_function(unit, fn, res)
+        _resolve_function(unit, fn, res, globals_)
     return res
 
 
-def _resolve_function(unit: SourceUnit, fn: FunctionDef, res: Resolution):
-    scopes: list[dict[str, Symbol]] = [dict(res.globals)]
-    flat: dict[str, Symbol] = dict(res.globals)
+def _resolve_function(unit: SourceUnit, fn: FunctionDef, res: Resolution,
+                      globals_: dict[str, Symbol]):
+    scopes: list[dict[str, Symbol]] = [globals_]
     params = {}
     for p in fn.params:
-        sym = Symbol(p.name, p.elem_type, tuple(p.dims), "parameter",
-                     p.pointer, p.reference, decl=p)
-        params[p.name] = sym
+        params[p.name] = res.decl_symbol[id(p)] = Symbol(
+            p.name, p.elem_type, tuple(p.dims), "parameter", p.pointer,
+            p.reference, decl=p)
     scopes.append(params)
-    flat.update(params)
 
-    def lookup(name: str, line: int) -> Symbol:
+    def find(name: str) -> Symbol | None:
         for scope in reversed(scopes):
             if name in scope:
                 return scope[name]
-        raise CParseError("undeclared identifier %r" % name, line, None,
-                          unit.filename)
+        return None
+
+    def lookup(name: str, line: int) -> Symbol:
+        sym = find(name)
+        if sym is None:
+            raise CParseError("undeclared identifier %r" % name, line, None,
+                              unit.filename)
+        return sym
 
     def resolve_expr(e: Expr, line: int):
         for sub in walk_exprs(e):
@@ -519,6 +537,9 @@ def _resolve_function(unit: SourceUnit, fn: FunctionDef, res: Resolution):
                 res.name_symbol[id(sub)] = lookup(sub.ident, line)
 
     def walk(stmt: Stmt):
+        omp = next((p for p in stmt.pragmas if isinstance(p, OmpPragma)), None)
+        if omp is not None and omp.reduction is not None:
+            res.reductions[id(stmt)] = find(omp.reduction[1])
         if isinstance(stmt, Block):
             scopes.append({})
             for s in stmt.stmts:
@@ -534,10 +555,9 @@ def _resolve_function(unit: SourceUnit, fn: FunctionDef, res: Resolution):
                 if d.name in scopes[-1]:
                     raise CParseError("duplicate declaration of %r" % d.name,
                                       stmt.line, None, unit.filename)
-                sym = Symbol(d.name, d.elem_type, tuple(d.dims), "local",
-                             d.pointer, decl=stmt)
-                scopes[-1][d.name] = sym
-                flat[d.name] = sym
+                scopes[-1][d.name] = res.decl_symbol[id(d)] = Symbol(
+                    d.name, d.elem_type, tuple(d.dims), "local", d.pointer,
+                    decl=stmt)
             return
         if isinstance(stmt, For):
             scopes.append({})
@@ -557,7 +577,6 @@ def _resolve_function(unit: SourceUnit, fn: FunctionDef, res: Resolution):
             walk(c)
 
     walk(fn.body)
-    res.fn_scopes[fn.name] = flat
 
 
 # ---------------------------------------------------------------------------

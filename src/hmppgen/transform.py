@@ -132,9 +132,9 @@ def expr_accesses(e: Expr, res: Resolution, out: list[Access]):
     Compound assignment records a read then a write; opaque calls read
     every argument and also write array arguments (they decay to
     mutable pointers) unless the callee is a known pure printer or a
-    math builtin.  The defined functions are those `res` has scopes for.
+    math builtin.  The defined functions are those `res` resolved.
     """
-    defined = res.fn_scopes
+    defined = res.functions
 
     def sym(node) -> Optional[Symbol]:
         return res.symbol_of(node) if isinstance(node, Name) else None
@@ -179,12 +179,12 @@ def expr_accesses(e: Expr, res: Resolution, out: list[Access]):
                 if node.func in defined:
                     continue  # analyzable later; treat like opaque below
                 s = base_symbol(a)
-                if s is not None and s.shape in ("array", "matrix"):
+                if s is not None and s.is_array:
                     out.append(Access(s, "write"))
             if node.func in defined:
                 for a in node.args:
                     s = base_symbol(a)
-                    if s is not None and s.shape in ("array", "matrix"):
+                    if s is not None and s.is_array:
                         out.append(Access(s, "write"))
         elif isinstance(node, Assign):
             # textual order: target base, its indexes, then the value
@@ -254,36 +254,29 @@ def infer_codelet_params(block_stmt: Stmt, accesses: list[Access],
     a `<name>_reduced` pointer of size 1 in its first-use slot, or last
     when the block never names it.
     """
-    reads: dict[str, bool] = {}
-    writes: dict[str, bool] = {}
-    order: list[Symbol] = []
-    seen: set[str] = set()
+    reads: set[Symbol] = set()
+    writes: set[Symbol] = set()
+    order: dict[Symbol, None] = {}
     for a in accesses:
-        name = a.symbol.name
-        if name not in seen:
-            seen.add(name)
-            order.append(a.symbol)
+        order.setdefault(a.symbol)
         if a.kind in ("read", "addr"):
-            reads[name] = True
+            reads.add(a.symbol)
         if a.kind == "write":
-            writes[name] = True
+            writes.add(a.symbol)
 
     params: list[Param] = []
-    red_var = reduction.name if reduction else None
     for sym in order:
-        if sym.name == red_var:
-            params.append(Param(sym.name + "_reduced", sym.elem_type,
-                                pointer=True, io=None, size_expr=Num("1"),
-                                reduced=True))
+        if sym is reduction:
+            params.append(_reduced_param(sym))
             continue
         if sym.shape == "scalar":
             params.append(Param(sym.name, sym.elem_type, io="by-value-scalar"))
         elif sym.shape == "array":
-            io = _io_of(reads.get(sym.name), writes.get(sym.name))
+            io = _io_of(sym in reads, sym in writes)
             params.append(Param(sym.name, sym.elem_type, pointer=True, io=io,
                                 size_expr=Paren(copy.deepcopy(sym.dims[0]))))
         elif sym.shape == "matrix":
-            io = _io_of(reads.get(sym.name), writes.get(sym.name))
+            io = _io_of(sym in reads, sym in writes)
             params.append(Param(sym.name, sym.elem_type,
                                 dims=[copy.deepcopy(d) for d in sym.dims],
                                 io=io))
@@ -292,11 +285,14 @@ def infer_codelet_params(block_stmt: Stmt, accesses: list[Access],
                 "free variable %r has unknown dimensions and cannot be "
                 "passed to the accelerator" % sym.name,
                 getattr(block_stmt, "line", None), None, filename)
-    if red_var is not None and red_var not in seen:
-        params.append(Param(red_var + "_reduced", reduction.elem_type,
-                            pointer=True, io=None, size_expr=Num("1"),
-                            reduced=True))
+    if reduction is not None and reduction not in order:
+        params.append(_reduced_param(reduction))
     return params
+
+
+def _reduced_param(sym: Symbol) -> Param:
+    return Param(sym.name + "_reduced", sym.elem_type, pointer=True, io=None,
+                 size_expr=Num("1"), reduced=True)
 
 
 def _io_of(read, write) -> str:
@@ -362,7 +358,6 @@ class CodeletDef:
     body: Block
     loop: Stmt
     gridify: list[str]
-    reduce: Optional[tuple[str, str]] = None  # (op, local name)
     target: str = "CUDA"
     line: int = 0
 
@@ -378,7 +373,6 @@ class Kernel:
     codelet: CodeletDef
     callsite: CallsiteStmt
     fn_name: str
-    reduce: Optional[tuple[str, str]] = None  # (op, caller symbol)
 
     @property
     def array_params(self) -> list[Param]:
@@ -402,7 +396,7 @@ def outline_block(unit: SourceUnit, block: OmpBlock, flags: FlagSet,
     reduction = block.pragma.reduction
     sym = None
     if reduction is not None:
-        sym = res.fn_scopes[block.fn.name].get(reduction[1])
+        sym = res.reduction_of(block.stmt)
         if sym is None:
             raise TransformError("unknown symbol %r" % reduction[1],
                                  block.stmt.line, None, unit.filename)
@@ -413,7 +407,7 @@ def outline_block(unit: SourceUnit, block: OmpBlock, flags: FlagSet,
     inside = set(map(id, walk_stmts(block.stmt)))
     free = [a for a in subtree_accesses(block.stmt, res)
             if not (a.symbol.storage == "local" and id(a.symbol.decl) in inside)]
-    _check_scalar_liveness(unit, block, free, inside, res)
+    _check_scalar_liveness(unit, block, free, inside, res, sym)
     params = infer_codelet_params(block.stmt, free, sym, unit.filename)
     label = codelet_label(block.fn.name, block.line, tag)
 
@@ -432,29 +426,25 @@ def outline_block(unit: SourceUnit, block: OmpBlock, flags: FlagSet,
             Assign("=", Unary("*", Name(var + "_reduced")), Name(var))))
 
     codelet = CodeletDef(label, block.fn.name, params, body, loop, grid,
-                         reduction, line=block.line)
-    args: list[Expr] = []
-    for p in params:
-        if p.reduced:
-            args.append(Unary("&", Name(p.caller_symbol)))
-        else:
-            args.append(Name(p.name))
+                         line=block.line)
+    args: list[Expr] = [Unary("&", Name(sym.name)) if p.reduced
+                        else Name(p.name) for p in params]
     callsite = CallsiteStmt(label=label, args=args, line=block.line)
     _replace_stmt(block.fn, block.stmt, callsite, unit)
     return Kernel(label, block.block_id, block.line, flags, codelet, callsite,
-                  block.fn.name, reduce=reduction)
+                  block.fn.name)
 
 
 def _check_scalar_liveness(unit: SourceUnit, block: OmpBlock,
                            free: list[Access], inside: set[int],
-                           res: Resolution):
+                           res: Resolution, reduction: Optional[Symbol]):
     """A scalar written inside the block stays by-value, so it must be dead
     (re-written before any read) on the CPU afterwards.  `free` are the
-    block's accesses of outer symbols, `inside` the ids of its statements."""
-    red_var = block.pragma.reduction[1] if block.pragma.reduction else None
-    written = {id(a.symbol) for a in free
+    block's accesses of outer symbols, `inside` the ids of its statements;
+    the `reduction` variable is exempt."""
+    written = {a.symbol for a in free
                if a.kind == "write" and a.symbol.shape == "scalar"
-               and a.symbol.name != red_var}
+               and a.symbol is not reduction}
     if not written:
         return
     ordered = list(walk_stmts(block.fn.body))
@@ -463,7 +453,7 @@ def _check_scalar_liveness(unit: SourceUnit, block: OmpBlock,
         if id(stmt) in inside:
             continue
         for a in stmt_accesses(stmt, res):
-            if id(a.symbol) not in written:
+            if a.symbol not in written:
                 continue
             if a.kind == "read":
                 raise TransformError(
@@ -472,7 +462,7 @@ def _check_scalar_liveness(unit: SourceUnit, block: OmpBlock,
                     "change its value (use a reduction)" % a.symbol.name,
                     block.line, None, unit.filename)
             if a.kind == "write":
-                written.discard(id(a.symbol))
+                written.discard(a.symbol)
         if not written:
             return
 

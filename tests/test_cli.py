@@ -335,6 +335,21 @@ def test_explore_block_local_shadows_outer_variable(tmp_path, capsys):
     assert cc_run(variant, tmp_path, "variant") == expected
 
 
+def test_explore_reduction_variable_is_the_one_declared_at_the_block(
+        tmp_path, capsys):
+    # an `int s` declared after the block does not change the `double s`
+    # the block sums
+    code, out, err = run_cli(["explore", DATA / "shadow_reduction.c",
+                              "--out", tmp_path / "o", "--reps", "1"], capsys)
+    assert code == 0, err
+    variant = (tmp_path / "o" / "variants"
+               / "shadow_reduction__0_0_1.c").read_text()
+    assert "double s = *s_reduced;" in variant
+    expected = cc_run(load("shadow_reduction.c"), tmp_path, "original")
+    assert expected == "2048\n2\n"
+    assert cc_run(variant, tmp_path, "variant") == expected
+
+
 def test_explore_cap_exceeded(tmp_path, capsys):
     # two group-eligible check blocks blow the default cap
     src = tmp_path / "two.c"
@@ -534,3 +549,25 @@ def test_inlining_nesting_limit(tmp_path, capsys):
     assert len(list((out_dir / "logs").glob("*.log"))) == len(rows)
     assert (out_dir / "speedup.dat").exists()
     assert (out_dir / "tradeoff.dat").exists()
+
+
+def test_failed_shape_is_analysed_once(tmp_path, capsys, monkeypatch):
+    # the outlined variants of the too-deep input share one shape; its
+    # failed analysis is kept and raised again for each of them
+    import hmppgen.emit
+    calls = []
+    outline = hmppgen.emit.outline_block
+
+    def counted(*args):
+        calls.append(args)
+        return outline(*args)
+
+    monkeypatch.setattr(hmppgen.emit, "outline_block", counted)
+    too_deep = tmp_path / "deep.c"
+    n = MAX_NESTING - 6  # one level past the limit, as above
+    too_deep.write_text(INLINED % ("{ " * n + "v = v + 1;" + " }" * n))
+    code, _, err = run_cli(["explore", too_deep, "--out", tmp_path / "d"],
+                           capsys)
+    assert code == 0, err
+    assert len(err.splitlines()) == 21
+    assert len(calls) == 1

@@ -28,6 +28,16 @@ def pipeline(src_or_unit, flags_by_block):
     return rv.unit, rv.kernels, rv.table, rv.plan
 
 
+def symbol(table, name):
+    """The one symbol in the table that carries `name`."""
+    [sym] = {sym for sym in table.events if sym.name == name}
+    return sym
+
+
+def names(symbols):
+    return [sym.name for sym in symbols]
+
+
 FIG56_SRC = """int main() {
     int i;
     double A[64];
@@ -47,11 +57,11 @@ FIG56_SRC = """int main() {
 def test_fig5_event_classification():
     unit, kernels, table, _ = pipeline(FIG56_SRC, {1: FlagSet()})
     label = kernels[0].label
-    a_kinds = [(e.kind, e.host.render()) for e in table.of("A")]
+    a_kinds = [(e.kind, e.host.render()) for e in table.of(symbol(table, "A"))]
     assert ("write", "CPU") in a_kinds
     assert ("read", "GPU(%s)" % label) in a_kinds
     assert ("write", "GPU(%s)" % label) not in a_kinds
-    c_kinds = [(e.kind, e.host.render()) for e in table.of("C")]
+    c_kinds = [(e.kind, e.host.render()) for e in table.of(symbol(table, "C"))]
     assert ("write", "GPU(%s)" % label) in c_kinds
     assert ("read", "CPU") in c_kinds
 
@@ -72,14 +82,15 @@ def test_compound_assignment_reads_then_writes():
     unit, kernels, table, _ = pipeline(
         copy.deepcopy(parse_fixture("table1.c")), {1: FlagSet()})
     label = kernels[0].label
-    kinds = {e.kind for e in table.of("result") if e.host.kernel == label}
+    kinds = {e.kind for e in table.of(symbol(table, "result"))
+             if e.host.kernel == label}
     assert kinds == {"read", "write"}
     assert io_of(kernels[0])["result"] == "inout"
 
 
 def test_last_cpu_write_site_straight_line():
     unit, kernels, table, _ = pipeline(FIG56_SRC, {1: FlagSet()})
-    point = last_cpu_write_site("A", kernels[0].label, table)
+    point = last_cpu_write_site(symbol(table, "A"), kernels[0].label, table)
     assert point.position == "after"
     assert isinstance(point.anchor, ExprStmt)
     # the anchor is the final A write, `A[1] = 2;`
@@ -90,7 +101,7 @@ def test_last_cpu_write_site_straight_line():
 def test_last_cpu_write_site_without_prior_write():
     src = FIG56_SRC.replace("    A[0] = 1;\n    A[1] = 2;\n", "")
     unit, kernels, table, _ = pipeline(src, {1: FlagSet()})
-    point = last_cpu_write_site("A", kernels[0].label, table)
+    point = last_cpu_write_site(symbol(table, "A"), kernels[0].label, table)
     assert point.position == "after"
     assert isinstance(point.anchor, DeclStmt)
     assert point.anchor.decls[0].name == "A"
@@ -116,7 +127,7 @@ FIG7_SRC = """int main() {
 
 def test_fig7_backtracks_out_of_the_writer_loop():
     unit, kernels, table, _ = pipeline(FIG7_SRC, {1: FlagSet()})
-    point = last_cpu_write_site("A", kernels[0].label, table)
+    point = last_cpu_write_site(symbol(table, "A"), kernels[0].label, table)
     assert point.position == "after"
     assert isinstance(point.anchor, For)
     # the anchor is the k loop, not the kernel loop
@@ -127,7 +138,7 @@ def test_fig7_backtracks_out_of_the_writer_loop():
 
 def test_fig8_store_before_first_reader():
     unit, kernels, table, _ = pipeline(FIG56_SRC, {1: FlagSet()})
-    point = first_cpu_read_site("C", kernels[0].label, table)
+    point = first_cpu_read_site(symbol(table, "C"), kernels[0].label, table)
     assert point.position == "before"
     from hmppgen.printer import print_expr
     assert "printf" in print_expr(point.anchor.expr)
@@ -136,7 +147,8 @@ def test_fig8_store_before_first_reader():
 def test_dead_output_has_no_store_site():
     src = FIG56_SRC.replace('    printf("%g\\n", C[5]);\n', "")
     unit, kernels, table, _ = pipeline(src, {1: FlagSet()})
-    assert first_cpu_read_site("C", kernels[0].label, table) is None
+    assert first_cpu_read_site(symbol(table, "C"), kernels[0].label,
+                               table) is None
 
 
 FIG9_SRC = """int main() {
@@ -160,7 +172,7 @@ FIG9_SRC = """int main() {
 
 def test_fig9_store_hoists_above_the_consumer_nest():
     unit, kernels, table, _ = pipeline(FIG9_SRC, {1: FlagSet()})
-    point = first_cpu_read_site("C", kernels[0].label, table)
+    point = first_cpu_read_site(symbol(table, "C"), kernels[0].label, table)
     assert point.position == "before"
     assert isinstance(point.anchor, For)
     assert point.anchor.init.target.ident == "r"  # outermost non-shared loop
@@ -193,13 +205,13 @@ def test_table5_group_and_mapbyname():
     gp = plan.groups[0]
     assert gp.label == "group0_12"
     assert gp.kernels == ["_instr_for12_ol_12_main", "_instr_for12_ol_17_main"]
-    assert gp.mapbyname == ["myTable", "myTableOut"]
+    assert names(gp.mapbyname) == ["myTable", "myTableOut"]
 
 
 def test_table5_single_load_before_the_loop():
     unit, kernels, table, plan = table5_plan()
     assert len(plan.loads) == 2  # one coalesced directive, two symbols
-    assert {l.symbol for l in plan.loads} == {"myTable", "myTableOut"}
+    assert {l.symbol.name for l in plan.loads} == {"myTable", "myTableOut"}
     for l in plan.loads:
         assert l.label == "_instr_for12_ol_12_main"
         assert l.point.position == "after"
@@ -211,19 +223,21 @@ def test_table5_single_load_before_the_loop():
 
 def test_table5_noupdate_on_both_callsites():
     unit, kernels, table, plan = table5_plan()
-    assert plan.noupdate["_instr_for12_ol_12_main"] == ["myTable", "myTableOut"]
-    assert plan.noupdate["_instr_for12_ol_17_main"] == ["myTableOut", "myTable"]
+    assert names(plan.noupdate["_instr_for12_ol_12_main"]) \
+        == ["myTable", "myTableOut"]
+    assert names(plan.noupdate["_instr_for12_ol_17_main"]) \
+        == ["myTableOut", "myTable"]
 
 
 def test_table5_single_store_of_mytable_after_the_loop():
     unit, kernels, table, plan = table5_plan()
-    stores = [s for s in plan.stores if s.symbol == "myTable"]
+    stores = [s for s in plan.stores if s.symbol.name == "myTable"]
     assert len(stores) == 1
     s = stores[0]
     assert s.label == "_instr_for12_ol_17_main"  # last accelerator writer
     assert s.point.position == "before"
     assert table.path(s.point.anchor) == ()
-    assert not any(st.symbol == "myTableOut" for st in plan.stores)
+    assert not any(st.symbol.name == "myTableOut" for st in plan.stores)
 
 
 def test_table5_release_after_final_use():
@@ -237,14 +251,15 @@ def test_table5_release_after_final_use():
 def test_table5_mapped_io_override():
     unit, kernels, table, plan = table5_plan()
     for label in ("_instr_for12_ol_12_main", "_instr_for12_ol_17_main"):
-        assert plan.io_override[(label, "myTable")] == "in"
-        assert plan.io_override[(label, "myTableOut")] == "in"
+        assert plan.io_override[(label, symbol(table, "myTable"))] == "in"
+        assert plan.io_override[(label, symbol(table, "myTableOut"))] == "in"
 
 
 def test_minimality_one_load_one_store_per_grouped_symbol():
     unit, kernels, table, plan = table5_plan()
-    assert sorted(l.symbol for l in plan.loads) == ["myTable", "myTableOut"]
-    assert [s.symbol for s in plan.stores] == ["myTable"]
+    assert sorted(l.symbol.name for l in plan.loads) \
+        == ["myTable", "myTableOut"]
+    assert [s.symbol.name for s in plan.stores] == ["myTable"]
 
 
 # -- Table 6 plan ----------------------------------------------------------------
@@ -259,7 +274,7 @@ def table6_plan():
 def test_table6_maps_only_the_resident_matrix():
     unit, kernels, table, plan = table6_plan()
     assert len(plan.groups) == 1
-    assert plan.groups[0].mapbyname == ["myTable"]
+    assert names(plan.groups[0].mapbyname) == ["myTable"]
 
 
 def test_table6_async_synchronize_before_first_dependent_read():
@@ -270,7 +285,7 @@ def test_table6_async_synchronize_before_first_dependent_read():
     # still precedes the first dependent read (`theDiffNorm = diffsum;`)
     assert sp.point.position == "after"
     assert sp.point.anchor is kernels[0].callsite
-    reads = [e for e in table.of("diffsum")
+    reads = [e for e in table.of(symbol(table, "diffsum"))
              if e.host.kind == "CPU" and e.kind == "read"
              and e.site > table.site(kernels[0].callsite)]
     assert reads and table.site(sp.point.anchor) < reads[0].site
@@ -278,7 +293,7 @@ def test_table6_async_synchronize_before_first_dependent_read():
 
 def test_table6_per_iteration_store_of_the_reduction_result():
     unit, kernels, table, plan = table6_plan()
-    red = [s for s in plan.stores if s.symbol == "diffsum_reduced"]
+    red = [s for s in plan.stores if s.param.name == "diffsum_reduced"]
     assert len(red) == 1
     assert red[0].addr == "&diffsum"
     assert len(table.path(red[0].point.anchor)) == 1  # inside the index loop
@@ -288,7 +303,7 @@ def test_table6_stores_mytable_per_iteration():
     # the CPU stencil consumes myTable in the next iteration (a wrap-around
     # read), so the download stays inside the loop, right after the callsite
     unit, kernels, table, plan = table6_plan()
-    stores = [s for s in plan.stores if s.symbol == "myTable"]
+    stores = [s for s in plan.stores if s.symbol.name == "myTable"]
     assert len(stores) == 1
     assert stores[0].point.position == "after"
     assert stores[0].point.anchor is kernels[0].callsite
@@ -298,13 +313,14 @@ def test_table6_stores_mytable_per_iteration():
 def test_table6_noupdate_only_on_the_resident_matrix():
     unit, kernels, table, plan = table6_plan()
     label = plan.groups[0].kernels[0]
-    assert plan.noupdate[label] == ["myTable"]
+    assert names(plan.noupdate[label]) == ["myTable"]
 
 
 def test_table6_no_load_for_the_cpu_written_matrix():
     unit, kernels, table, plan = table6_plan()
-    assert [l.symbol for l in plan.loads] == ["myTable"]
-    assert load_point("myTableOut", plan.groups[0].kernels[0], table) is None
+    assert names(l.symbol for l in plan.loads) == ["myTable"]
+    assert load_point(symbol(table, "myTableOut"), plan.groups[0].kernels[0],
+                      table) is None
 
 
 # -- grouping and fallbacks --------------------------------------------------------
@@ -372,3 +388,15 @@ def test_dumps_are_line_oriented():
     assert all(l.startswith("event ") for l in ctx.strip().splitlines())
     assert any(l.startswith("group group0_12") for l in pl.splitlines())
     assert any(l.startswith("advancedload myTable") for l in pl.splitlines())
+
+
+def test_dumps_tell_same_name_symbols_apart():
+    # shadow_array.c declares `double A[64]` on line 5 and `float A[4]` on
+    # line 15; names with one symbol print bare
+    unit, kernels, table, plan = pipeline(parse_fixture("shadow_array.c"),
+                                          {1: FlagSet(advancedload=True)})
+    ctx = [l.split()[1] for l in dump_context(table).splitlines()]
+    assert [name for name in ctx if name.startswith("A")] \
+        == ["A@5", "A@5", "A@15", "A@15"]
+    assert "C" in ctx and "i" in ctx
+    assert "advancedload A@5 " in dump_plan(plan, table)

@@ -273,6 +273,74 @@ def test_explore_logs_build_diagnostics(tmp_path):
         "simulated: ")
 
 
+# -- one name, two declarations -------------------------------------------------
+
+
+def test_shadowed_array_is_charged_its_own_bytes():
+    # the kernel reads `double A[64]`; the later block's `float A[4]` is
+    # another array, with its own events
+    rv = make_variant("shadow_array.c", {1: (0, 0, 1)})
+    assert "h2d_bytes=512 " in simulate_variant(rv).breakdown()
+    [k] = rv.kernels
+    [p] = [p for p in k.array_params if p.name == "A"]
+    outer = rv.table.caller(k, p)
+    [inner] = [s for s in rv.table.events if s.name == "A" and s is not outer]
+    assert (outer.elem_type, inner.elem_type) == ("double", "float")
+    assert [(e.kind, e.host.kind) for e in rv.table.of(outer)] \
+        == [("write", "CPU"), ("read", "GPU")]
+
+
+def test_one_name_for_two_arrays_is_never_mapped_by_name(tmp_path):
+    # the second block reads an inner `A` that shadows the first block's;
+    # a mapbyname listing A would alias the two arrays
+    ms = explore(parse_fixture("shadow_pair.c"), tmp_path, repetitions=1,
+                 cap=2000)
+    assert len(ms) == 1849
+    assert [m.reason for m in ms if m.failed] == []
+    mapped = {line for p in (tmp_path / "variants").glob("*.c")
+              for line in p.read_text().splitlines() if "mapbyname" in line}
+    assert mapped == {"#pragma hmpp <group0_11> mapbyname, B",
+                      "#pragma hmpp <group0_20> mapbyname, B"}
+
+
+SHADOWED_BOUND = """int printf(const char *, ...);
+int main() {
+    int i;
+    double A[64];
+    double C[64];
+    for (i = 0; i < 64; i++) {
+        A[i] = i;
+    }
+    {
+        int n = 4;
+        printf("%d\\n", n);
+    }
+    {
+        int n = 64;
+        #pragma omp parallel for check
+        for (i = 0; i < n; i++) {
+            C[i] = A[i] * 2.0;
+        }
+    }
+    printf("%g\\n", C[5]);
+    return 0;
+}
+"""
+
+
+def test_shadowed_loop_bound_folds_to_its_own_constant():
+    # the kernel loop runs to the `n = 64` it sees, not to the earlier
+    # block's `n = 4`: the same count as with that one renamed
+    renamed = SHADOWED_BOUND.replace("int n = 4;", "int m = 4;") \
+        .replace('", n);', '", m);')
+    uv = UnitVariant("v", (VariantPlan.of(
+        1, decode_signature(Signature((0, 0, 1)))),), (0,))
+    ops = [simulate_variant(build_variant(parse_translation_unit(src),
+                                          uv)).gpu_ops
+           for src in (SHADOWED_BOUND, renamed)]
+    assert ops == [448.0, 448.0]
+
+
 # -- executor config -----------------------------------------------------------------
 
 

@@ -316,6 +316,26 @@ def test_reduction_of_array_is_rejected():
     assert "scalar" in str(exc.value)
 
 
+def test_reduction_variable_must_be_declared_before_the_block():
+    src = """int printf(const char *, ...);
+int main() {
+    int i;
+    #pragma omp parallel for reduction(+:acc) check
+    for (i = 0; i < 4; i++) {
+        printf("%d\\n", i);
+    }
+    double acc = 0;
+    printf("%g\\n", acc);
+    return 0;
+}
+"""
+    unit = parse_translation_unit(src)
+    with pytest.raises(TransformError) as exc:
+        outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
+                      resolve(unit))
+    assert "unknown symbol 'acc'" in str(exc.value)
+
+
 # -- scope checking --------------------------------------------------------------
 
 
