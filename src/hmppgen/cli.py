@@ -14,7 +14,7 @@ from .errors import (
     SourceError, TransformError,
 )
 from .explore import ExecutorSpec, explore, parse_executor_config
-from .parser import parse_file
+from .parser import parse_file, read_text
 from .report import (
     BASELINE_SIGNATURE_TEXT, emit_plot_data, parse_csv, speedup, write_csv,
 )
@@ -96,7 +96,7 @@ def cmd_explore(args) -> int:
     unit, blocks = _parse_unit(args.input)
     out_dir = Path(args.out)
     if args.replay:
-        measurements = parse_csv(Path(args.replay).read_text(encoding="utf-8"))
+        measurements = parse_csv(read_text(args.replay))
         out_dir.mkdir(parents=True, exist_ok=True)
     else:
         if not any(b.annotated for b in blocks):
@@ -117,7 +117,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_report(args) -> int:
-    measurements = parse_csv(Path(args.input).read_text(encoding="utf-8"))
+    measurements = parse_csv(read_text(args.input))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _summarize(measurements, out_dir, args.ops, args.baseline)

@@ -15,8 +15,9 @@ from typing import Optional
 
 from .errors import AnalysisError, PlanError
 from .nodes import (
-    CallsiteStmt, DeclStmt, For, FunctionDef, Param, SourceUnit, Stmt, Symbol,
-    While, child_stmts, walk_stmts,
+    BinOp, Block, CallsiteStmt, DeclStmt, Expr, For, FunctionDef, Name, Num,
+    Param, Paren, SourceUnit, Stmt, Symbol, Unary, While, child_stmts,
+    walk_stmts,
 )
 from .parser import Resolution, resolve
 from .transform import (
@@ -53,6 +54,11 @@ class InsertionPoint:
     position: str  # before | after
 
 
+# Where directives print and the simulator runs them: ("before", id(stmt))
+# or ("end", id(block)), after the block's last statement.
+Slot = tuple[str, int]
+
+
 @dataclass
 class ContextTable:
     fn: FunctionDef
@@ -63,6 +69,14 @@ class ContextTable:
     stmt_at: dict[int, Stmt] = field(default_factory=dict)  # site -> stmt
     # (kernel label, parameter name) -> the caller's symbol at the callsite
     callers: dict[tuple[str, str], Symbol] = field(default_factory=dict)
+    # id(stmt) -> the slot just after a statement of a block
+    slot_after: dict[int, Slot] = field(default_factory=dict)
+    # id(stmt) -> (symbol, kind) of the CPU accesses the simulator tracks:
+    # those of arrays and of symbols a kernel touches
+    cpu_events: dict[int, list[tuple[Symbol, str]]] = field(
+        default_factory=dict)
+    # the function's initializer constants (`const_env`)
+    consts: dict[Symbol, float] = field(default_factory=dict)
 
     def add(self, ev: AccessEvent):
         self.events.setdefault(ev.symbol, []).append(ev)
@@ -90,6 +104,15 @@ class ContextTable:
     def path(self, stmt: Stmt) -> tuple[int, ...]:
         return self.loop_path_of[id(stmt)]
 
+    def slot(self, point: InsertionPoint) -> Slot:
+        """The slot an insertion point prints in: "after" a statement is
+        before the next one of its block, or at the block's end."""
+        if point.position == "before":
+            return "before", id(point.anchor)
+        if id(point.anchor) not in self.slot_after:
+            raise PlanError("internal: insertion anchor is not inside a block")
+        return self.slot_after[id(point.anchor)]
+
 
 def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     out = []
@@ -98,6 +121,55 @@ def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             break
         out.append(x)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# static expression folding
+
+
+def fold_expr(e: Expr, env: dict[Symbol, float],
+              res: Resolution) -> Optional[float]:
+    """The value of `e` when it folds from the constants `env` holds for
+    the symbols `res` resolves its names to; None otherwise."""
+    if isinstance(e, Num):
+        try:
+            return float(e.lexeme)
+        except ValueError:
+            return None
+    if isinstance(e, Paren):
+        return fold_expr(e.inner, env, res)
+    if isinstance(e, Name):
+        return env.get(res.symbol_of(e))
+    if isinstance(e, Unary) and e.op == "-" and e.prefix:
+        v = fold_expr(e.operand, env, res)
+        return None if v is None else -v
+    if isinstance(e, BinOp):
+        a = fold_expr(e.left, env, res)
+        b = fold_expr(e.right, env, res)
+        if a is None or b is None:
+            return None
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/" and b != 0:
+            return a / b
+    return None
+
+
+def const_env(fn: FunctionDef, res: Resolution) -> dict[Symbol, float]:
+    """Initializer constants of the function's scalars."""
+    env: dict[Symbol, float] = {}
+    for stmt in walk_stmts(fn.body):
+        if isinstance(stmt, DeclStmt):
+            for d in stmt.decls:
+                if d.init is not None and not d.dims:
+                    v = fold_expr(d.init, env, res)
+                    if v is not None:
+                        env[res.symbol_of_decl(d)] = v
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +184,17 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel],
     compound assignments yield a read then a write.  By-value scalar
     arguments count as CPU reads at the call.  The codelets must already
     be in `unit` (`insert_codelets`), and `res` resolves it as it is now:
-    one resolution covers them all.
+    one resolution covers them all.  The table also links each statement
+    of a block to the slot after it and holds the function's initializer
+    constants, once for every variant of a shape.
     """
-    if not kernels:
-        fn = unit.function("main") if any(
-            f.name == "main" for f in unit.functions) else unit.functions[-1]
-    else:
-        fns = {k.fn_name for k in kernels}
-        if len(fns) > 1:
-            raise AnalysisError("kernels span multiple functions: %s"
-                                % ", ".join(sorted(fns)))
-        fn = unit.function(fns.pop())
-    table = ContextTable(fn=fn, kernels=list(kernels))
+    fns = {k.fn_name for k in kernels}
+    if len(fns) > 1:
+        raise AnalysisError("kernels span multiple functions: %s"
+                            % ", ".join(sorted(fns)))
+    fn = unit.function(fns.pop())
+    table = ContextTable(fn=fn, kernels=list(kernels),
+                         consts=const_env(fn, res))
     by_callsite = {id(k.callsite): k for k in kernels}
 
     site = [0]
@@ -142,6 +213,11 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel],
             for a in stmt_accesses(stmt, res):
                 table.add(AccessEvent(a.symbol, a.kind, s, stmt, CPU,
                                       tuple(loop_stack)))
+        if isinstance(stmt, Block):
+            for c, after in zip(stmt.stmts, stmt.stmts[1:]):
+                table.slot_after[id(c)] = "before", id(after)
+            if stmt.stmts:
+                table.slot_after[id(stmt.stmts[-1])] = "end", id(stmt)
         loop = isinstance(stmt, (For, While))
         if loop:
             loop_stack.append(s)
@@ -151,6 +227,12 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel],
             loop_stack.pop()
 
     visit(fn.body)
+    for sym, events in table.events.items():
+        if sym.is_array or any(ev.host.kind == "GPU" for ev in events):
+            for ev in events:
+                if ev.host.kind == "CPU":
+                    table.cpu_events.setdefault(id(ev.stmt), []).append(
+                        (sym, ev.kind))
     return table
 
 
@@ -426,6 +508,8 @@ class TransferPlan:
     group_of: dict[str, str] = field(default_factory=dict)  # kernel -> group
     mapped: dict[str, list[Symbol]] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
+    # slot -> the loads, synchronizes, stores and releases printed there
+    schedule: dict[Slot, list] = field(default_factory=dict)
 
     def is_mapped(self, kernel: str, symbol: Symbol) -> bool:
         g = self.group_of.get(kernel)
@@ -444,7 +528,8 @@ def build_transfer_plan(unit: SourceUnit, table: ContextTable,
     them to the last-CPU-write / first-CPU-read points, `noupdate`
     suppresses redundant per-call copies of resident data, `group`
     shares residency between kernels, and `asynchronous` defers
-    completion to an explicit synchronize.
+    completion to an explicit synchronize.  `schedule` holds every
+    transfer in the slot where it is printed, in the printed order.
     """
     plan = TransferPlan()
     kernels = table.kernels
@@ -490,6 +575,11 @@ def build_transfer_plan(unit: SourceUnit, table: ContextTable,
     _plan_stores(plan, table)
     _plan_async(plan, table)
     _plan_releases(plan, table)
+    # the order of the transfers in one slot, each kind in plan order; the
+    # printer puts group declarations before them and a callsite after
+    for transfers in (plan.loads, plan.asyncs, plan.stores, plan.releases):
+        for t in transfers:
+            plan.schedule.setdefault(table.slot(t.point), []).append(t)
     return plan
 
 

@@ -8,7 +8,9 @@ other flag reaches it, so every variant of one shape can share it.  The
 render of one variant gives the shape's kernels that variant's flags,
 plans the transfers and prints the shared tree with the variant's HMPP
 directives laid over it (`attach_directives` returns an `Overlay`; the
-tree itself is never changed after its analysis).
+tree itself is never changed after its analysis).  Where each transfer
+prints, and in which order, is the plan's schedule, which `context`
+decides; this module only renders it.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from pathlib import Path
 from typing import Optional
 
 from .context import (
-    ContextTable, GroupAssignment, InsertionPoint, TransferPlan,
-    build_context_table, build_transfer_plan, form_groups,
+    ContextTable, GroupAssignment, LoadPlan, ReleasePlan, SyncPlan,
+    TransferPlan, build_context_table, build_transfer_plan, form_groups,
 )
-from .errors import PlanError, SourceError
-from .nodes import Block, SourceUnit, walk_stmts
+from .errors import SourceError
+from .nodes import SourceUnit
 from .parser import Resolution, resolve
 from .pragmas import HmppArg, HmppDirective, OmpPragma
 from .printer import Overlay, print_expr, print_unit
@@ -32,12 +34,6 @@ from .transform import (
     inline_calls_in_place, insert_codelets, kernel_path_targets, outline_block,
 )
 from .variants import BASELINE, FlagSet, UnitVariant
-
-# rendering order for directives sharing one insertion slot
-_PRIORITY = {
-    "group": 0, "mapbyname": 1, "advancedload": 2, "callsite": 3,
-    "synchronize": 4, "delegatedstore": 5, "release": 6,
-}
 
 
 @dataclass
@@ -96,102 +92,65 @@ def _callsite_directive(k: Kernel, plan: TransferPlan) -> HmppDirective:
                          args=args, asynchronous=k.flags.asynchronous)
 
 
-class _Attacher:
-    """Resolves insertion points into concrete pragma slots."""
-
-    def __init__(self, unit: SourceUnit):
-        self.parent: dict[int, tuple[Block, int]] = {}
-        for fn in unit.functions:
-            for stmt in walk_stmts(fn.body):
-                if isinstance(stmt, Block):
-                    for i, s in enumerate(stmt.stmts):
-                        self.parent[id(s)] = (stmt, i)
-        self.slots: dict[int, list] = {}  # id(stmt) -> entries
-        self.trailing: dict[int, list] = {}  # id(block) -> entries
-        self.seq = 0
-
-    def add(self, point: InsertionPoint, directive: HmppDirective):
-        self.seq += 1
-        entry = (_PRIORITY.get(directive.kind, 9), self.seq, directive)
-        if point.position == "before":
-            self.slots.setdefault(id(point.anchor), []).append(entry)
-            return
-        if id(point.anchor) not in self.parent:
-            raise PlanError("internal: insertion anchor is not inside a block")
-        block, i = self.parent[id(point.anchor)]
-        if i + 1 < len(block.stmts):
-            self.slots.setdefault(id(block.stmts[i + 1]), []).append(entry)
-        else:
-            self.trailing.setdefault(id(block), []).append(entry)
-
-    def overlay(self) -> Overlay:
-        def ordered(slots):
-            return {key: [e[2] for e in sorted(entries)]
-                    for key, entries in slots.items()}
-        return Overlay(before=ordered(self.slots),
-                       trailing=ordered(self.trailing))
-
-
 def attach_directives(unit: SourceUnit, kernels: list[Kernel],
                       plan: TransferPlan, table: ContextTable) -> Overlay:
-    """Places every planned directive on the rewritten tree, as an overlay
-    for `print_unit`; the tree itself is left unchanged.
+    """Prints the plan's schedule as an overlay for `print_unit`; the tree
+    itself is left unchanged.
 
-    Order at one callsite: group declaration, mapbyname, advancedloads,
-    callsite, synchronize, delegatedstores, release.
+    A slot holds the schedule's transfers in its order.  The group
+    declarations and mapbyname lead the function's first slot, and a
+    callsite directive follows the rest of its slot.
     """
-    att = _Attacher(unit)
-    if kernels:
-        first = table.fn.body.stmts[0]
-        for gp in plan.groups:
-            att.add(InsertionPoint(first, "before"),
-                    HmppDirective(kind="group", group=gp.label, target="CUDA"))
-            if gp.mapbyname:
-                att.add(InsertionPoint(first, "before"),
-                        HmppDirective(kind="mapbyname", group=gp.label,
-                                      symbols=[s.name for s in gp.mapbyname]))
-    for key, loads in _grouped_transfers(plan.loads):
-        group, label, point = key
-        args = [HmppArg(l.symbol.name, addr=l.symbol.name) for l in loads]
-        att.add(point, HmppDirective(kind="advancedload", group=group,
-                                     label=label, args=args))
-    for key, stores in _grouped_transfers(plan.stores):
-        group, label, point = key
-        args = [HmppArg(s.param.name, addr=s.addr) for s in stores]
-        att.add(point, HmppDirective(kind="delegatedstore", group=group,
-                                     label=label, args=args))
-    for sp in plan.asyncs:
-        att.add(sp.point, HmppDirective(kind="synchronize", group=sp.group,
-                                        label=sp.label))
-    for rp in plan.releases:
-        att.add(rp.point, HmppDirective(
-            kind="release", group=rp.name if rp.grouped else None,
-            label=None if rp.grouped else rp.name))
-    overlay = att.overlay()
+    overlay = Overlay()
+    for (position, key), transfers in plan.schedule.items():
+        slots = overlay.before if position == "before" else overlay.trailing
+        slots[key] = _grouped_transfers(transfers)
+    if plan.groups:
+        head = [HmppDirective(kind="group", group=gp.label, target="CUDA")
+                for gp in plan.groups]
+        head += [HmppDirective(kind="mapbyname", group=gp.label,
+                               symbols=[s.name for s in gp.mapbyname])
+                 for gp in plan.groups if gp.mapbyname]
+        first = id(table.fn.body.stmts[0])
+        overlay.before[first] = head + overlay.before.get(first, [])
     label_fn = {fn.name: fn for fn in unit.functions}
     for k in kernels:
         codelet_fn = label_fn.get(k.label)
         if codelet_fn is not None:
             overlay.codelets[id(codelet_fn)] = _codelet_directive(k, plan,
                                                                   table)
-        # the callsite directive follows the slot's earlier directives
         overlay.before.setdefault(id(k.callsite), []).append(
             _callsite_directive(k, plan))
     return overlay
 
 
-def _grouped_transfers(plans):
-    """Coalesces transfer plans sharing group, label and insertion point."""
-    order = []
-    groups = {}
-    for p in plans:
-        key = (p.group, p.label, id(p.point.anchor), p.point.position)
-        if key not in groups:
-            groups[key] = (p.point, [])
-            order.append(key)
-        groups[key][1].append(p)
-    return [((groups[k][1][0].group, groups[k][1][0].label, groups[k][0]),
-             groups[k][1]) for k in order]
+def _grouped_transfers(transfers: list) -> list[HmppDirective]:
+    """One slot's directives, in the schedule's order; the loads (or the
+    stores) that share group, label and insertion point coalesce into one
+    directive."""
+    out = []
+    merged: dict[tuple, HmppDirective] = {}
+    for t in transfers:
+        if isinstance(t, SyncPlan):
+            out.append(HmppDirective(kind="synchronize", group=t.group,
+                                     label=t.label))
+        elif isinstance(t, ReleasePlan):
+            out.append(HmppDirective(
+                kind="release", group=t.name if t.grouped else None,
+                label=None if t.grouped else t.name))
+        else:
+            load = isinstance(t, LoadPlan)
+            key = (load, t.group, t.label, id(t.point.anchor),
+                   t.point.position)
+            if key not in merged:
+                merged[key] = HmppDirective(
+                    kind="advancedload" if load else "delegatedstore",
+                    group=t.group, label=t.label)
+                out.append(merged[key])
+            merged[key].args.append(
+                HmppArg(t.symbol.name, addr=t.symbol.name) if load
+                else HmppArg(t.param.name, addr=t.addr))
+    return out
 
 
 def _dissolve_regions(blocks: list[OmpBlock],

@@ -4,7 +4,10 @@ aggregating median time and energy.
 Two executor modes: `shell` builds and runs each variant through user
 command templates, sampling a cumulative watt-hour counter around the
 run; `simulated` replays the variant's transfer plan and statement
-structure through a deterministic closed-form cost model.
+structure through a deterministic closed-form cost model.  The replay
+runs the plan's schedule, the transfers in the slots and order in which
+the variant prints them, and the CPU accesses the context table lists
+for each statement.
 
 The simulator counts *logical* whole-object transfers: an upload is
 charged only when the host copy changed since the last upload of that
@@ -23,17 +26,18 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .context import TransferPlan, form_groups
+from .context import (
+    LoadPlan, Slot, StorePlan, SyncPlan, TransferPlan, const_env, fold_expr,
+    form_groups,
+)
 from .errors import AnalysisError, ExploreError, PlanError, TransformError
 from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
-    FunctionDef, If, Name, Num, Paren, Return, SourceUnit, Stmt, Str, Symbol,
-    Unary, While, walk_exprs, walk_stmts,
+    If, Name, Num, Paren, Return, SourceUnit, Stmt, Str, Symbol, While,
+    walk_exprs, walk_stmts,
 )
-from .emit import (
-    _PRIORITY, RenderedVariant, build_variant, write_manifest, write_variant,
-)
-from .parser import Resolution
+from .emit import RenderedVariant, build_variant, write_manifest, write_variant
+from .parser import Resolution, read_text
 from .transform import find_omp_blocks
 from .variants import (
     BASELINE, DEFAULT_VARIANT_CAP, FlagSet, VariantPlan, enumerate_variants,
@@ -113,51 +117,6 @@ class SimResult:
 
 
 # -- static expression folding ------------------------------------------------
-
-
-def fold_expr(e: Expr, env: dict[Symbol, float],
-              res: Resolution) -> Optional[float]:
-    """The value of `e` when it folds from the constants `env` holds for
-    the symbols `res` resolves its names to; None otherwise."""
-    if isinstance(e, Num):
-        try:
-            return float(e.lexeme)
-        except ValueError:
-            return None
-    if isinstance(e, Paren):
-        return fold_expr(e.inner, env, res)
-    if isinstance(e, Name):
-        return env.get(res.symbol_of(e))
-    if isinstance(e, Unary) and e.op == "-" and e.prefix:
-        v = fold_expr(e.operand, env, res)
-        return None if v is None else -v
-    if isinstance(e, BinOp):
-        a = fold_expr(e.left, env, res)
-        b = fold_expr(e.right, env, res)
-        if a is None or b is None:
-            return None
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/" and b != 0:
-            return a / b
-    return None
-
-
-def const_env(fn: FunctionDef, res: Resolution) -> dict[Symbol, float]:
-    """Initializer constants of the function's scalars."""
-    env: dict[Symbol, float] = {}
-    for stmt in walk_stmts(fn.body):
-        if isinstance(stmt, DeclStmt):
-            for d in stmt.decls:
-                if d.init is not None and not d.dims:
-                    v = fold_expr(d.init, env, res)
-                    if v is not None:
-                        env[res.symbol_of_decl(d)] = v
-    return env
 
 
 def expr_ops(e: Optional[Expr]) -> int:
@@ -342,8 +301,7 @@ class _Replay:
         self.table = rv.table
         self.plan: TransferPlan = rv.plan
         self.resolution = rv.resolution
-        self.env = const_env(self.table.fn, rv.resolution) \
-            if self.table else {}
+        self.env = self.table.consts
         self.res = _Residency(self.env, rv.resolution, params)
         self.t_cpu = 0.0
         self.t_gpu = 0.0
@@ -355,44 +313,8 @@ class _Replay:
         self.kernel_by_callsite = {id(k.callsite): k for k in rv.kernels}
         self.kernel_op_cache: dict[str, float] = {}
         self.fn_ops_cache: dict[str, float] = {}
-        self.actions = self._index_actions()
-        self.stmt_events = self._index_events()
 
     # -- static facts
-
-    def _index_actions(self) -> dict[tuple[str, int], list]:
-        out: dict[tuple[str, int], list] = {}
-        if self.plan is None:
-            return out
-
-        def add(point, prio, kind, payload):
-            key = (point.position, id(point.anchor))
-            out.setdefault(key, []).append((prio, kind, payload))
-
-        for l in self.plan.loads:
-            add(l.point, _PRIORITY["advancedload"], "load", l)
-        for s in self.plan.stores:
-            add(s.point, _PRIORITY["delegatedstore"], "store", s)
-        for a in self.plan.asyncs:
-            add(a.point, _PRIORITY["synchronize"], "sync", a)
-        for entries in out.values():
-            entries.sort(key=lambda e: e[0])
-        return out
-
-    def _index_events(self) -> dict[int, list]:
-        out: dict[int, list] = {}
-        if self.table is None:
-            return out
-        for sym, events in self.table.events.items():
-            if not (sym.is_array or self._sym_has_gpu(sym)):
-                continue
-            for ev in events:
-                if ev.host.kind == "CPU":
-                    out.setdefault(id(ev.stmt), []).append((sym, ev.kind))
-        return out
-
-    def _sym_has_gpu(self, sym: Symbol) -> bool:
-        return any(ev.host.kind == "GPU" for ev in self.table.of(sym))
 
     def _kernel_ops(self, k) -> float:
         if k.label not in self.kernel_op_cache:
@@ -419,8 +341,7 @@ class _Replay:
     # -- replay
 
     def run(self) -> SimResult:
-        fn = self.table.fn if self.table else self.rv.unit.function("main")
-        self._run_stmt(fn.body)
+        self._run_stmt(self.table.fn.body)
         # asynchronous kernels missing a synchronize finish at program end
         for label in list(self.pending_async):
             self._finish_async(label)
@@ -439,15 +360,15 @@ class _Replay:
                          self.res.h2d_array_count, self.res.d2h_array_count,
                          self.launches, self.gpu_ops, self.cpu_ops)
 
-    def _run_actions(self, position: str, stmt: Stmt):
-        for prio, kind, payload in self.actions.get((position, id(stmt)), ()):
-            if kind == "load":
-                scope = payload.group or payload.label
-                self.res.upload(scope, payload.symbol)
-            elif kind == "store":
-                self.res.download(payload.symbol)
-            elif kind == "sync":
-                self._finish_async(payload.label)
+    def _run_slot(self, slot: Slot):
+        """The slot's transfers, in their printed order."""
+        for t in self.plan.schedule.get(slot, ()):
+            if isinstance(t, LoadPlan):
+                self.res.upload(t.group or t.label, t.symbol)
+            elif isinstance(t, StorePlan):
+                self.res.download(t.symbol)
+            elif isinstance(t, SyncPlan):
+                self._finish_async(t.label)
 
     def _cpu_time(self, ops: float):
         self.cpu_ops += ops
@@ -465,12 +386,12 @@ class _Replay:
             self.res.download(sym)
 
     def _run_stmt(self, stmt: Stmt):
-        self._run_actions("before", stmt)
+        self._run_slot(("before", id(stmt)))
         k = self.kernel_by_callsite.get(id(stmt))
         if k is not None:
             self._run_callsite(k)
         else:
-            for sym, kind in self.stmt_events.get(id(stmt), ()):
+            for sym, kind in self.table.cpu_events.get(id(stmt), ()):
                 if kind == "read":
                     self.res.cpu_read(sym)
                 elif kind in ("write", "addr"):
@@ -484,13 +405,13 @@ class _Replay:
             if isinstance(stmt, Block):
                 for c in stmt.stmts:
                     self._run_stmt(c)
+                self._run_slot(("end", id(stmt)))
             elif isinstance(stmt, (For, While)):
                 self._run_loop(stmt)
             elif isinstance(stmt, If):
                 self._run_stmt(stmt.then)
                 if stmt.orelse is not None:
                     self._run_stmt(stmt.orelse)
-        self._run_actions("after", stmt)
 
     def _run_loop(self, stmt):
         trips = loop_trips(stmt, self.env, self.resolution)
@@ -634,8 +555,8 @@ class ExecutorSpec:
 def parse_executor_config(path) -> ExecutorSpec:
     """Line-oriented `key = value` executor configuration."""
     spec = ExecutorSpec()
-    overrides = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    numbers = {}
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -644,14 +565,17 @@ def parse_executor_config(path) -> ExecutorSpec:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in ("mode", "build", "run", "energy_cmd"):
             setattr(spec, key, value)
-        elif key == "timeout":
-            spec.timeout = float(value)
-        elif key in CostModelParams().__dict__:
-            overrides[key] = float(value)
-        else:
+            continue
+        if key != "timeout" and key not in CostModelParams().__dict__:
             raise ExploreError("unknown executor config key %r" % key)
-    if overrides:
-        spec.params = replace(spec.params, **overrides)
+        try:
+            numbers[key] = float(value)
+        except ValueError:
+            raise ExploreError("%s:%d: %s takes a number, got %r"
+                               % (path, lineno, key, value))
+    spec.timeout = numbers.pop("timeout", spec.timeout)
+    if numbers:
+        spec.params = replace(spec.params, **numbers)
     spec.validate()
     return spec
 

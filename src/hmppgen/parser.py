@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from .errors import CParseError, UnsupportedConstructError
+from .errors import CParseError, SourceError, UnsupportedConstructError
 from .lexer import Token, tokenize
 from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For, FunctionDef,
@@ -591,9 +592,21 @@ def parse_translation_unit(text: str, filename: str = "<input>") -> SourceUnit:
     return unit
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text with universal newlines; a byte that does not
+    decode is a SourceError naming the file and the byte's line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SourceError("not UTF-8 text: byte 0x%02x" % data[e.start],
+                          data.count(b"\n", 0, e.start) + 1,
+                          filename=str(path))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_file(path) -> SourceUnit:
-    with open(path, encoding="utf-8") as f:
-        return parse_translation_unit(f.read(), str(path))
+    return parse_translation_unit(read_text(path), str(path))
 
 
 def strip_pragmas(unit: SourceUnit) -> SourceUnit:

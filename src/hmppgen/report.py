@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -71,6 +72,9 @@ def parse_csv(text: str) -> list[Measurement]:
             time_ms, energy = float(t), float(e)
         except ValueError:
             raise ReportError("non-numeric measurement in row: %r" % (row,))
+        if not all(math.isfinite(v) and v >= 0 for v in (time_ms, energy)):
+            raise ReportError("measurement is not finite and non-negative "
+                              "in row: %r" % (row,))
         out.append(Measurement(name, sig, time_ms, energy,
                                [(time_ms, energy)]))
     return out

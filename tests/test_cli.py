@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -435,9 +436,71 @@ def test_report_missing_header_fails(tmp_path, capsys):
     assert "header" in err
 
 
+def test_report_rejects_non_finite_measurements(tmp_path, capsys):
+    csv = tmp_path / "nan.csv"
+    csv.write_text("Version/Measure,Signature,Time Expended(ms.),"
+                   "Energy Consumption(J.)\n"
+                   'Original(OpenMP),"0, 0, 0",1,1\n'
+                   'Codelet__0_0_1,"0, 0, 1",nan,-5\n')
+    code, out, err = run_cli(["report", csv, "--out", tmp_path / "r"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Codelet__0_0_1" in err
+
+
+@pytest.mark.parametrize("key, value", [("timeout", "abc"),
+                                        ("h2d_bandwidth", "fast")])
+def test_executor_config_values_must_be_numbers(tmp_path, capsys, key, value):
+    cfg = tmp_path / "exec.cfg"
+    cfg.write_text("mode = simulated\n%s = %s\n" % (key, value))
+    code, out, err = run_cli(["explore", DATA / "table1.c", "--out",
+                              tmp_path / "o", "--executor", cfg], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: %s:2: %s takes a number, got %r\n" % (cfg, key,
+                                                                 value)
+
+
+# -- input that is not UTF-8 -------------------------------------------------------
+
+
+def test_non_utf8_source_is_one_diagnostic(tmp_path, capsys):
+    src = tmp_path / "bad.c"
+    src.write_bytes(load("table1.c").encode().replace(b"return 0;",
+                                                      b"return 0; /* \xff */"))
+    line = load("table1.c").splitlines().index("    return 0;") + 1
+    for command in ("explore", "transform"):
+        code, out, err = run_cli([command, src, "--out", tmp_path / command],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert "%s:%d:" % (src, line) in err and "UTF-8" in err
+
+
+def test_non_utf8_executor_config_is_one_diagnostic(tmp_path, capsys):
+    cfg = tmp_path / "exec.cfg"
+    cfg.write_bytes(b"mode = simulated\n# \xff\n")
+    code, out, err = run_cli(["explore", DATA / "table1.c", "--out",
+                              tmp_path / "o", "--executor", cfg], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s:2:" % cfg) and err.count("\n") == 1
+
+
+def test_non_utf8_csv_is_one_diagnostic(tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    csv.write_bytes(load("table8.csv").encode() + b"\xff\n")
+    for argv in (["report", csv], ["explore", DATA / "table1.c", "--replay",
+                                   csv]):
+        code, out, err = run_cli(argv + ["--out", tmp_path / "r"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s:" % csv) and err.count("\n") == 1
+        assert "UTF-8" in err
+
+
 def test_cli_entry_point_runs():
+    # the child finds the package whether or not PYTHONPATH names it
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "hmppgen.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "transform" in proc.stdout
 

@@ -1,23 +1,27 @@
 import gc
 import math
 import random
+import re
 import subprocess
 import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hmppgen.context import LoadPlan
 from hmppgen.emit import build_variant
 from hmppgen.errors import ExploreError
 import hmppgen.emit
 import hmppgen.explore
 from hmppgen.explore import (
-    CostModelParams, ExecutorSpec, explore, median, parse_executor_config,
-    run_exploration, simulate_variant, wh_to_joules,
+    CostModelParams, ExecutorSpec, block_plans, explore, median,
+    parse_executor_config, run_exploration, simulate_variant, wh_to_joules,
 )
 from hmppgen.parser import parse_translation_unit
 from hmppgen.transform import find_omp_blocks
-from hmppgen.variants import Signature, UnitVariant, VariantPlan, decode_signature
+from hmppgen.variants import (
+    Signature, UnitVariant, VariantPlan, decode_signature, plans_for_unit,
+)
 
 from conftest import load, parse_fixture
 
@@ -31,6 +35,12 @@ def make_variant(name, sig_by_block):
         for b in blocks)
     uv = UnitVariant(str(sig_by_block), plans, tuple(range(len(plans))))
     return build_variant(unit, uv)
+
+
+def drop_loads(rv):
+    """Sabotage: no early load runs, so noupdate reads unloaded data."""
+    for transfers in rv.plan.schedule.values():
+        transfers[:] = [t for t in transfers if not isinstance(t, LoadPlan)]
 
 
 # -- median ----------------------------------------------------------------------
@@ -167,7 +177,7 @@ def test_async_overlap_never_slows_down():
 
 def test_unsound_plan_aborts():
     rv = make_variant("table5.c", {1: (11, 3, 0), 2: (11, 3, 0)})
-    rv.plan.loads = []  # sabotage: noupdate now reads unloaded data
+    drop_loads(rv)
     with pytest.raises(ExploreError) as exc:
         simulate_variant(rv)
     assert "unsound" in str(exc.value)
@@ -177,6 +187,66 @@ def test_simulation_is_deterministic():
     a = simulate_variant(make_variant("table5.c", {1: (11, 3, 0), 2: (11, 3, 0)}))
     b = simulate_variant(make_variant("table5.c", {1: (11, 3, 0), 2: (11, 3, 0)}))
     assert a == b
+
+
+def printed_transfers(source):
+    """("sync", label) and ("store", variable) in the order `source` prints
+    its synchronize and delegatedstore directives."""
+    out = []
+    text = source.replace(" &\n#pragma hmpp & ", " ")
+    for line in text.splitlines():
+        words = line.split()
+        if words[:2] != ["#pragma", "hmpp"]:
+            continue
+        if "synchronize" in words:
+            out.append(("sync", words[words.index("synchronize") - 1]))
+        elif "delegatedstore," in words:
+            out += [("store", addr.lstrip("&"))
+                    for addr in re.findall(r'\.addr="([^"]+)"', line)]
+    return out
+
+
+def test_replay_runs_transfers_in_printed_order(monkeypatch):
+    # the replay stores and synchronizes exactly as the variant prints:
+    # downloads inside a callsite or a synchronize are not directives
+    replay, residency = hmppgen.explore._Replay, hmppgen.explore._Residency
+    inside, order = [], []
+
+    def nested(method, record=None):
+        def wrapped(self, arg):
+            if record is not None:
+                order.append((record, arg))
+            inside.append(arg)
+            try:
+                return method(self, arg)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def download(self, sym, real=residency.download):
+        if not inside:
+            order.append(("store", sym.name))
+        return real(self, sym)
+
+    monkeypatch.setattr(residency, "download", download)
+    monkeypatch.setattr(replay, "_finish_async",
+                        nested(replay._finish_async, "sync"))
+    monkeypatch.setattr(replay, "_run_callsite", nested(replay._run_callsite))
+    unit = parse_fixture("async_order.c")
+    shapes, checked = {}, 0
+    for uv in plans_for_unit(block_plans(unit)):
+        rv = build_variant(unit, uv, shapes=shapes)
+        if rv.table is None:
+            continue
+        order.clear()
+        simulate_variant(rv)
+        assert order == printed_transfers(rv.source), uv.signature_text
+        checked += any(kind == "sync" for kind, _ in order) \
+            and any(kind == "store" for kind, _ in order)
+        if uv.filename_sig == "13_0_0":
+            label = rv.kernels[0].label
+            assert order == [("sync", label), ("store", "A")]
+    assert checked >= 4
 
 
 # -- run_exploration ---------------------------------------------------------------
@@ -211,7 +281,7 @@ def test_sweep_is_restartable():
 
 def test_failures_do_not_abort_the_sweep():
     vs = variants_for_sweep()
-    vs[3].plan.loads = []  # unsound: fails in the simulator
+    drop_loads(vs[3])  # unsound: fails in the simulator
     ms = run_exploration(vs, ExecutorSpec(), repetitions=2)
     assert len(ms) == 4
     assert not ms[0].failed and ms[3].failed

@@ -73,6 +73,22 @@ def test_non_numeric_row_rejected():
         parse_csv(bad)
 
 
+@pytest.mark.parametrize("time_ms, energy", [
+    ("nan", "1"), ("1", "inf"), ("-inf", "1"), ("-5", "1"), ("1", "-5")])
+def test_non_finite_or_negative_row_rejected(time_ms, energy):
+    bad = CSV_HEADER + "\nOriginal(OpenMP),\"0, 0, 0\",1,1\n" \
+        + "Odd__0_0_1,\"0, 0, 1\",%s,%s\n" % (time_ms, energy)
+    with pytest.raises(ReportError) as exc:
+        parse_csv(bad)
+    assert "Odd__0_0_1" in str(exc.value)
+
+
+def test_zero_measurements_stay_valid():
+    # table1's energies round to 0 in the CSV
+    rows = parse_csv(CSV_HEADER + "\nOriginal(OpenMP),\"0, 0, 0\",0,0\n")
+    assert (rows[0].time_ms, rows[0].energy_J) == (0.0, 0.0)
+
+
 def test_empty_measurements_rejected():
     with pytest.raises(ReportError):
         write_csv([])
