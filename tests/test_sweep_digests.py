@@ -1,5 +1,8 @@
 """Pins the bytes of representative sweep and transform outputs, stderr
 included (as `stderr.txt`, with the data directory shown as `tests/data`).
+A run named in AGGREGATED is pinned by one digest over every file it
+writes (each file's relative path and bytes, in path order), so a sweep of
+thousands of files stays one line.
 
 A refactoring that must not change outputs keeps these digests.  After a
 deliberate output change, regenerate them with
@@ -30,7 +33,10 @@ RUNS = [
     ("table5_analysis", "table5.c", ["transform", "--dump-analysis", None]),
     ("inline_run", "inline_run.c", ["transform", "--inline", "all"]),
     ("global_helper", "global_helper.c", ["transform"]),
+    # 1,849 variants over 9 shapes: groups, asynchronous and release
+    ("table5", "table5.c", ["explore", "--reps", "1", "--cap", "2000"]),
 ]
+AGGREGATED = {"table5"}
 
 DIGESTED = ("report.csv", "manifest.txt", "variants/manifest.txt",
             "variants/*.c", "logs/*.log", "*.c", "analysis.txt", "stderr.txt")
@@ -51,6 +57,15 @@ def sweep_digests(root: Path) -> list[str]:
         assert code == 0, "%s exited %d" % (name, code)
         (out / "stderr.txt").write_text(
             err.getvalue().replace(str(DATA), "tests/data"), encoding="utf-8")
+        if name in AGGREGATED:
+            total = hashlib.sha256()
+            for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                rel = path.relative_to(root).as_posix().encode("utf-8")
+                total.update(b"%d:%s" % (len(rel), rel))
+                data = path.read_bytes()
+                total.update(b"%d:%s" % (len(data), data))
+            lines.append("%s  %s/**" % (total.hexdigest(), name))
+            continue
         files = sorted({p for pattern in DIGESTED for p in out.glob(pattern)})
         for path in files:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
