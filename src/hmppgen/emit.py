@@ -5,12 +5,14 @@ harness use.  It works in two steps.  The analysis of a program *shape*
 (which blocks are outlined, and which of those are group-flagged) copies
 the unit, outlines, inlines, resolves and builds the context table; no
 other flag reaches it, so every variant of one shape can share it.  The
-render of one variant gives the shape's kernels that variant's flags,
-plans the transfers and prints the shared tree with the variant's HMPP
-directives laid over it (`attach_directives` returns an `Overlay`; the
-tree itself is never changed after its analysis).  Where each transfer
-prints, and in which order, is the plan's schedule, which `context`
-decides; this module only renders it.
+analysis then compiles the host function into a cost program for the
+simulator and prints the tree once into a template.  The render of one
+variant gives the shape's kernels that variant's flags, plans the
+transfers and fills the template's holes with the variant's HMPP
+directives (`attach_directives` returns an `Overlay`; the tree itself is
+never changed after its analysis).  Where each transfer prints, and in
+which order, is the plan's schedule, which `context` decides; this
+module only renders it.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from .context import (
     ContextTable, GroupAssignment, LoadPlan, ReleasePlan, SyncPlan,
     TransferPlan, build_context_table, build_transfer_plan, form_groups,
 )
+from .cost import CostProgram, compile_costs
 from .errors import SourceError
 from .nodes import SourceUnit
 from .parser import Resolution, resolve
 from .pragmas import HmppArg, HmppDirective, OmpPragma
-from .printer import Overlay, print_expr, print_unit
+from .printer import Overlay, Template, print_expr, unit_template
 from .transform import (
     Kernel, OmpBlock, check_global_scope, find_omp_blocks,
     inline_calls_in_place, insert_codelets, kernel_path_targets, outline_block,
@@ -52,6 +55,7 @@ class RenderedVariant:
     kernels: list[Kernel]
     plan: Optional[TransferPlan]
     table: Optional[ContextTable]
+    program: Optional[CostProgram]
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -94,32 +98,30 @@ def _callsite_directive(k: Kernel, plan: TransferPlan) -> HmppDirective:
 
 def attach_directives(unit: SourceUnit, kernels: list[Kernel],
                       plan: TransferPlan, table: ContextTable) -> Overlay:
-    """Prints the plan's schedule as an overlay for `print_unit`; the tree
-    itself is left unchanged.
+    """Prints the plan's schedule as an overlay for the unit's template;
+    the tree itself is left unchanged.
 
     A slot holds the schedule's transfers in its order.  The group
     declarations and mapbyname lead the function's first slot, and a
     callsite directive follows the rest of its slot.
     """
-    overlay = Overlay()
-    for (position, key), transfers in plan.schedule.items():
-        slots = overlay.before if position == "before" else overlay.trailing
-        slots[key] = _grouped_transfers(transfers)
+    overlay: Overlay = {slot: _grouped_transfers(transfers)
+                        for slot, transfers in plan.schedule.items()}
     if plan.groups:
         head = [HmppDirective(kind="group", group=gp.label, target="CUDA")
                 for gp in plan.groups]
         head += [HmppDirective(kind="mapbyname", group=gp.label,
                                symbols=[s.name for s in gp.mapbyname])
                  for gp in plan.groups if gp.mapbyname]
-        first = id(table.fn.body.stmts[0])
-        overlay.before[first] = head + overlay.before.get(first, [])
+        first = "before", id(table.fn.body.stmts[0])
+        overlay[first] = head + overlay.get(first, [])
     label_fn = {fn.name: fn for fn in unit.functions}
     for k in kernels:
         codelet_fn = label_fn.get(k.label)
         if codelet_fn is not None:
-            overlay.codelets[id(codelet_fn)] = _codelet_directive(k, plan,
-                                                                  table)
-        overlay.before.setdefault(id(k.callsite), []).append(
+            overlay["codelet", id(codelet_fn)] = [
+                _codelet_directive(k, plan, table)]
+        overlay.setdefault(("before", id(k.callsite)), []).append(
             _callsite_directive(k, plan))
     return overlay
 
@@ -188,7 +190,8 @@ class Shape:
     """The analysis every variant of one program shape shares: the
     outlined, inlined tree and its resolution, its kernels (with the
     flags of the variant that was analysed first), the context table, the
-    groups and the scope diagnostics."""
+    groups and the scope diagnostics, and what the tree compiles to: the
+    host function's cost program and the printed text's template."""
 
     unit: SourceUnit
     resolution: Resolution
@@ -196,6 +199,8 @@ class Shape:
     table: Optional[ContextTable]
     groups: dict[int, GroupAssignment]
     diagnostics: list[str]
+    program: Optional[CostProgram]
+    template: Template
 
 
 def _shape_key(uv: UnitVariant, extra_inline: "tuple[str, ...] | str"):
@@ -239,7 +244,7 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
         kernels.append(outline_block(work, b, flags, tag, res))
     _dissolve_regions(blocks, flags_by_block)
 
-    table = None
+    table = program = None
     if kernels:
         insert_codelets(work, kernels)
         if extra_inline == "all":
@@ -250,13 +255,15 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
                 inline_calls_in_place(work, targets)
         res = resolve(work)
         table = build_context_table(work, kernels, res)
+        program = compile_costs(work, table, res)
         for k in kernels:
             diagnostics.extend(check_global_scope(k.codelet, res))
     elif extra_inline:
         inline_calls_in_place(
             work, "all" if extra_inline == "all" else tuple(extra_inline))
         res = resolve(work)
-    return Shape(work, res, kernels, table, groups, diagnostics)
+    return Shape(work, res, kernels, table, groups, diagnostics, program,
+                 unit_template(work))
 
 
 def build_variant(unit: SourceUnit, uv: UnitVariant,
@@ -293,9 +300,10 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
         overlay = attach_directives(shape.unit, kernels, plan, table)
     return RenderedVariant(
         name=uv.name, signature_text=uv.signature_text,
-        filename_sig=uv.filename_sig,
-        source=print_unit(shape.unit, overlay), unit=shape.unit,
-        resolution=shape.resolution, kernels=kernels, plan=plan, table=table, diagnostics=diagnostics)
+        filename_sig=uv.filename_sig, source=shape.template.fill(overlay),
+        unit=shape.unit, resolution=shape.resolution, kernels=kernels,
+        plan=plan, table=table, program=shape.program,
+        diagnostics=diagnostics)
 
 
 def write_variant(rv: RenderedVariant, stem: str, out_dir) -> str:

@@ -5,9 +5,11 @@ Two executor modes: `shell` builds and runs each variant through user
 command templates, sampling a cumulative watt-hour counter around the
 run; `simulated` replays the variant's transfer plan and statement
 structure through a deterministic closed-form cost model.  The replay
-runs the plan's schedule, the transfers in the slots and order in which
-the variant prints them, and the CPU accesses the context table lists
-for each statement.
+runs the cost program its shape compiled once (`cost.CostProgram`: each
+statement's CPU accesses and op charges, folded loop trips and kernel op
+counts) against the variant's schedule, the transfers in the slots and
+order in which the variant prints them, and its kernel flags.  Being
+deterministic, a simulated variant records one sample.
 
 The simulator counts *logical* whole-object transfers: an upload is
 charged only when the host copy changed since the last upload of that
@@ -27,24 +29,18 @@ from pathlib import Path
 from typing import Optional
 
 from .context import (
-    LoadPlan, Slot, StorePlan, SyncPlan, TransferPlan, const_env, fold_expr,
-    form_groups,
+    LoadPlan, StorePlan, SyncPlan, TransferPlan, const_env, form_groups,
 )
+from .cost import CallStep, CostProgram, LoopStep, Step, static_ops
 from .errors import AnalysisError, ExploreError, PlanError, TransformError
-from .nodes import (
-    Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
-    If, Name, Num, Paren, Return, SourceUnit, Stmt, Str, Symbol, While,
-    walk_exprs, walk_stmts,
-)
+from .nodes import Call, ExprStmt, SourceUnit, Symbol, walk_exprs, walk_stmts
 from .emit import RenderedVariant, build_variant, write_manifest, write_variant
-from .parser import Resolution, read_text
+from .parser import read_text
 from .transform import find_omp_blocks
 from .variants import (
     BASELINE, DEFAULT_VARIANT_CAP, FlagSet, VariantPlan, enumerate_variants,
     plans_for_unit,
 )
-
-ELEM_BYTES = {"int": 4, "float": 4, "double": 8}
 
 
 def median(samples) -> float:
@@ -116,104 +112,16 @@ class SimResult:
                    int(self.gpu_ops), int(self.cpu_ops)))
 
 
-# -- static expression folding ------------------------------------------------
-
-
-def expr_ops(e: Optional[Expr]) -> int:
-    """Operators, subscripts and calls in an expression (0 for None)."""
-    return sum(1 for n in walk_exprs(e)
-               if not isinstance(n, (Num, Str, Name, Paren)))
-
-
-def stmt_own_ops(stmt: Stmt) -> int:
-    total = 0
-    if isinstance(stmt, DeclStmt):
-        total += sum(expr_ops(d.init) for d in stmt.decls if d.init is not None)
-    elif isinstance(stmt, ExprStmt):
-        total += expr_ops(stmt.expr)
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        total += expr_ops(stmt.value)
-    elif isinstance(stmt, (While, If)):
-        total += expr_ops(stmt.cond)
-    elif isinstance(stmt, CallsiteStmt):
-        total += sum(expr_ops(a) for a in stmt.args)
-    return total
-
-
-def loop_trips(stmt: Stmt, env: dict[Symbol, float],
-               res: Resolution) -> float:
-    """Statically folded trip count of a for or while loop; 1 when the
-    bounds do not fold."""
-    var = start = None
-    if isinstance(stmt, For):
-        if isinstance(stmt.init, DeclStmt) and len(stmt.init.decls) == 1:
-            var = res.symbol_of_decl(stmt.init.decls[0])
-            if stmt.init.decls[0].init is not None:
-                start = fold_expr(stmt.init.decls[0].init, env, res)
-        elif isinstance(stmt.init, Assign) and isinstance(stmt.init.target, Name):
-            var = res.symbol_of(stmt.init.target)
-            start = fold_expr(stmt.init.value, env, res)
-    cond = stmt.cond.inner if isinstance(stmt.cond, Paren) else stmt.cond
-    if not (isinstance(cond, BinOp) and cond.op in ("<", "<=")
-            and isinstance(cond.left, Name)):
-        return 1.0
-    left = res.symbol_of(cond.left)
-    if var is None:
-        var, start = left, env.get(left)
-    stop = fold_expr(cond.right, env, res)
-    if left is not var or start is None or stop is None:
-        return 1.0
-    return max(stop - start + (1 if cond.op == "<=" else 0), 0.0)
-
-
-def static_ops(stmt: Stmt, env: dict[Symbol, float],
-               res: Resolution) -> float:
-    """Operation count of a statement subtree with loop trips folded in."""
-    env = dict(env)
-
-    def walk(s: Stmt) -> float:
-        total = float(stmt_own_ops(s))
-        if isinstance(s, (For, While)):
-            if isinstance(s, For):
-                header = expr_ops(s.init) + expr_ops(s.cond) + expr_ops(s.update)
-                if isinstance(s.init, DeclStmt):
-                    for d in s.init.decls:
-                        if d.init is not None:
-                            v = fold_expr(d.init, env, res)
-                            if v is not None:
-                                env[res.symbol_of_decl(d)] = v
-                        header += expr_ops(d.init)
-            else:
-                header = expr_ops(s.cond)
-            trips = loop_trips(s, env, res)
-            return trips * (header + walk(s.body))
-        if isinstance(s, Block):
-            return total + sum(walk(c) for c in s.stmts)
-        if isinstance(s, If):
-            branches = walk(s.then) + (walk(s.orelse) if s.orelse else 0.0)
-            return total + branches
-        if isinstance(s, ExprStmt) and isinstance(s.expr, Assign) \
-                and isinstance(s.expr.target, Name):
-            v = fold_expr(s.expr.value, env, res)
-            if v is not None and s.expr.op == "=":
-                env[res.symbol_of(s.expr.target)] = v
-        return total
-
-    return walk(stmt)
-
-
 # -- the replay ---------------------------------------------------------------
 
 
 class _Residency:
     """Whole-object transfer state per symbol: logical uploads move changed
     host data, logical downloads move accelerator-written data back.
-    Sizes fold each symbol's declared dimensions in `env`."""
+    `sizes` holds each symbol's folded byte size."""
 
-    def __init__(self, env: dict[Symbol, float], resolution: Resolution,
-                 params: CostModelParams):
-        self.env = env
-        self.resolution = resolution
+    def __init__(self, sizes: dict[Symbol, int], params: CostModelParams):
+        self.sizes = sizes
         self.params = params
         self.host_version: dict[Symbol, int] = {}
         self.uploaded_version: dict[Symbol, int] = {}
@@ -228,13 +136,6 @@ class _Residency:
         self.d2h_bytes = 0
         self.t_h2d = 0.0
         self.t_d2h = 0.0
-
-    def _size(self, sym: Symbol) -> int:
-        n = 1.0
-        for d in sym.dims:
-            v = fold_expr(d, self.env, self.resolution)
-            n *= v if v is not None else 1.0
-        return int(n) * ELEM_BYTES.get(sym.elem_type, 8)
 
     def cpu_write(self, sym: Symbol):
         self.host_version[sym] = self.host_version.get(sym, 0) + 1
@@ -253,7 +154,7 @@ class _Residency:
         hv = self.host_version.get(sym, 0)
         if self.uploaded_version.get(sym) != hv:
             self.uploaded_version[sym] = hv
-            size = self._size(sym)
+            size = self.sizes[sym]
             self.h2d_count += 1
             if sym.is_array:
                 self.h2d_array_count += 1
@@ -275,7 +176,7 @@ class _Residency:
     def download(self, sym: Symbol):
         if self.gpu_dirty.get(sym):
             self.gpu_dirty[sym] = False
-            size = self._size(sym)
+            size = self.sizes[sym]
             self.d2h_count += 1
             if sym.is_array:
                 self.d2h_array_count += 1
@@ -295,14 +196,15 @@ _REPLAY_COUNTERS = ("t_cpu", "t_gpu", "launches", "gpu_ops", "cpu_ops",
 
 
 class _Replay:
+    """Runs the shape's cost program with one variant's schedule and
+    kernel flags."""
+
     def __init__(self, rv: RenderedVariant, params: CostModelParams):
-        self.rv = rv
+        program: CostProgram = rv.program
+        plan: TransferPlan = rv.plan
+        self.body = program.body
         self.params = params
-        self.table = rv.table
-        self.plan: TransferPlan = rv.plan
-        self.resolution = rv.resolution
-        self.env = self.table.consts
-        self.res = _Residency(self.env, rv.resolution, params)
+        self.res = _Residency(program.sizes, params)
         self.t_cpu = 0.0
         self.t_gpu = 0.0
         self.launches = 0
@@ -310,38 +212,34 @@ class _Replay:
         self.cpu_ops = 0.0
         self.overlap_saved = 0.0
         self.pending_async: dict[str, dict] = {}  # kernel -> span/cpu info
-        self.kernel_by_callsite = {id(k.callsite): k for k in rv.kernels}
-        self.kernel_op_cache: dict[str, float] = {}
-        self.fn_ops_cache: dict[str, float] = {}
-
-    # -- static facts
-
-    def _kernel_ops(self, k) -> float:
-        if k.label not in self.kernel_op_cache:
-            res = self.resolution
-            kenv = {}
-            for p, arg in zip(k.codelet.params, k.callsite.args):
-                v = fold_expr(arg, self.env, res)
-                if v is not None:
-                    kenv[res.symbol_of_decl(p)] = v
-            self.kernel_op_cache[k.label] = static_ops(k.codelet.body, kenv,
-                                                       res)
-        return self.kernel_op_cache[k.label]
-
-    def _function_ops(self, name: str) -> float:
-        if name not in self.fn_ops_cache:
-            ops = 0.0
-            for f in self.rv.unit.functions:
-                if f.name == name:
-                    ops = static_ops(f.body, const_env(f, self.resolution),
-                                     self.resolution)
-            self.fn_ops_cache[name] = ops
-        return self.fn_ops_cache[name]
-
-    # -- replay
+        # slot id -> the loads, synchronizes and stores printed there
+        self.transfers = {program.slots[slot]: transfers
+                          for slot, transfers in plan.schedule.items()}
+        planned_stores = {(s.label, s.symbol) for s in plan.stores}
+        # per kernel: its scope, (symbol, upload, read) of each parameter,
+        # the symbols it writes and those its callsite downloads
+        self.calls = []
+        for k, cost in zip(rv.kernels, program.kernels):
+            label = k.label
+            inputs, writes, downloads = [], [], []
+            for sym, reduced, reads, written in cost.params:
+                mapped = plan.is_mapped(label, sym)
+                noup = plan.has_noupdate(label, sym)
+                inputs.append((sym, not noup and (reads or mapped), reads))
+                if not written:
+                    continue
+                writes.append(sym)
+                if mapped or noup:
+                    continue  # an explicit store moves it when needed
+                if not reduced and k.flags.delegatedstore \
+                        and (label, sym) in planned_stores:
+                    continue  # far store planned instead of the auto copy
+                downloads.append(sym)
+            self.calls.append((k, cost, plan.group_of.get(label) or label,
+                               inputs, writes, downloads))
 
     def run(self) -> SimResult:
-        self._run_stmt(self.table.fn.body)
+        self._run(self.body)
         # asynchronous kernels missing a synchronize finish at program end
         for label in list(self.pending_async):
             self._finish_async(label)
@@ -360,9 +258,9 @@ class _Replay:
                          self.res.h2d_array_count, self.res.d2h_array_count,
                          self.launches, self.gpu_ops, self.cpu_ops)
 
-    def _run_slot(self, slot: Slot):
+    def _run_slot(self, slot: int):
         """The slot's transfers, in their printed order."""
-        for t in self.plan.schedule.get(slot, ()):
+        for t in self.transfers[slot]:
             if isinstance(t, LoadPlan):
                 self.res.upload(t.group or t.label, t.symbol)
             elif isinstance(t, StorePlan):
@@ -385,55 +283,40 @@ class _Replay:
         for sym in info["downloads"]:
             self.res.download(sym)
 
-    def _run_stmt(self, stmt: Stmt):
-        self._run_slot(("before", id(stmt)))
-        k = self.kernel_by_callsite.get(id(stmt))
-        if k is not None:
-            self._run_callsite(k)
-        else:
-            for sym, kind in self.table.cpu_events.get(id(stmt), ()):
-                if kind == "read":
-                    self.res.cpu_read(sym)
-                elif kind in ("write", "addr"):
-                    self.res.cpu_write(sym)
-            if not isinstance(stmt, (For, While)):
-                self._cpu_time(float(stmt_own_ops(stmt)))
-            if isinstance(stmt, ExprStmt):
-                for node in walk_exprs(stmt.expr):
-                    if isinstance(node, Call):
-                        self._cpu_time(self._function_ops(node.func))
-            if isinstance(stmt, Block):
-                for c in stmt.stmts:
-                    self._run_stmt(c)
-                self._run_slot(("end", id(stmt)))
-            elif isinstance(stmt, (For, While)):
-                self._run_loop(stmt)
-            elif isinstance(stmt, If):
-                self._run_stmt(stmt.then)
-                if stmt.orelse is not None:
-                    self._run_stmt(stmt.orelse)
+    def _run(self, step: Step):
+        if step.slot in self.transfers:
+            self._run_slot(step.slot)
+        if type(step) is CallStep:
+            self._run_callsite(step.kernel)
+            return
+        for sym, write in step.events:
+            if write:
+                self.res.cpu_write(sym)
+            else:
+                self.res.cpu_read(sym)
+        for ops in step.charges:
+            self._cpu_time(ops)
+        if type(step) is LoopStep:
+            self._run_loop(step)
+            return
+        for s in step.stmts:
+            self._run(s)
+        if step.end in self.transfers:
+            self._run_slot(step.end)
 
-    def _run_loop(self, stmt):
-        trips = loop_trips(stmt, self.env, self.resolution)
-        if isinstance(stmt, For):
-            header = expr_ops(stmt.cond) + expr_ops(stmt.update)
-            if isinstance(stmt.init, Expr):
-                self._cpu_time(float(expr_ops(stmt.init)))
-            elif isinstance(stmt.init, DeclStmt):
-                self._run_stmt(stmt.init)
-        else:
-            header = expr_ops(stmt.cond)
-        if trips <= 0:
+    def _run_loop(self, step: LoopStep):
+        if step.init is not None:
+            self._run(step.init)
+        if step.trips <= 0:
             return
         # first iteration warms residency; the rest repeat its steady state
-        snapshot = self._counters()
-        self._cpu_time(float(header))
-        self._run_stmt(stmt.body)
-        if trips > 1:
-            snapshot2 = self._counters()
-            self._cpu_time(float(header))
-            self._run_stmt(stmt.body)
-            self._scale_delta(snapshot2, trips - 2.0)
+        self._cpu_time(step.header)
+        self._run(step.body)
+        if step.trips > 1:
+            snapshot = self._counters()
+            self._cpu_time(step.header)
+            self._run(step.body)
+            self._scale_delta(snapshot, step.trips - 2.0)
 
     def _counters(self) -> list:
         return [getattr(owner, name) for owner, name in self._counter_slots()]
@@ -455,42 +338,21 @@ class _Replay:
             setattr(owner, name, now + (int(more) if isinstance(before, int)
                                         else more))
 
-    def _run_callsite(self, k):
-        plan = self.plan
-        scope = plan.group_of.get(k.label) or k.label
-        planned_stores = {(s.label, s.symbol) for s in plan.stores}
+    def _run_callsite(self, index: int):
+        k, cost, scope, inputs, writes, downloads = self.calls[index]
         # by-value argument evaluation happens on the CPU
-        self._cpu_time(float(sum(expr_ops(a) for a in k.callsite.args)))
-        for p in k.codelet.params:
-            if p.io == "by-value-scalar":
-                continue
-            sym = self.table.caller(k, p)
-            mapped = plan.is_mapped(k.label, sym)
-            noup = plan.has_noupdate(k.label, sym)
-            reads = p.reduced or p.io in ("in", "inout")
-            if not noup and (reads or mapped):
+        self._cpu_time(cost.arg_ops)
+        for sym, upload, read in inputs:
+            if upload:
                 self.res.upload(scope, sym)
-            if reads:
+            if read:
                 self.res.gpu_read(scope, sym)
-        ops = self._kernel_ops(k)
-        self.gpu_ops += ops
+        self.gpu_ops += cost.ops
         self.launches += 1
-        span = ops / self.params.gpu_throughput
+        span = cost.ops / self.params.gpu_throughput
         self.t_gpu += span
-        downloads = []
-        for p in k.codelet.params:
-            if p.io == "by-value-scalar":
-                continue
-            sym = self.table.caller(k, p)
-            if not (p.reduced or p.io in ("out", "inout")):
-                continue
+        for sym in writes:
             self.res.gpu_write(scope, sym)
-            if plan.is_mapped(k.label, sym) or plan.has_noupdate(k.label, sym):
-                continue  # an explicit store moves it when needed
-            if not p.reduced and k.flags.delegatedstore \
-                    and (k.label, sym) in planned_stores:
-                continue  # far store planned instead of the auto copy
-            downloads.append(sym)
         if k.flags.asynchronous:
             self.pending_async[k.label] = {
                 "span": span, "cpu_since": 0.0, "downloads": downloads}
@@ -669,8 +531,9 @@ def _run_shell_variant(rv: RenderedVariant, spec: ExecutorSpec, reps: int,
 def run_exploration(variants: list[RenderedVariant], executor: ExecutorSpec,
                     repetitions: int = 5,
                     log_dir=None) -> list[Measurement]:
-    """One Measurement per variant, medians over `repetitions` samples; a
-    failure fails only its row.  Logs open with the build diagnostics."""
+    """One Measurement per variant: the median of `repetitions` shell runs,
+    or the one deterministic simulated sample; a failure fails only its
+    row.  Logs open with the build diagnostics."""
     if repetitions < 1:
         raise ExploreError("repetitions must be >= 1")
     executor.validate()
@@ -687,7 +550,7 @@ def run_exploration(variants: list[RenderedVariant], executor: ExecutorSpec,
                 log("simulated: " + sim.breakdown())
                 sample = (sim.time_s * 1000.0, sim.energy_J)
                 m = Measurement.from_samples(rv.name, rv.signature_text,
-                                             [sample] * repetitions)
+                                             [sample])
             except ExploreError as e:
                 log("simulation failed: %s" % e)
                 m = Measurement.failure(rv.name, rv.signature_text, str(e))

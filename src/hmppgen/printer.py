@@ -2,14 +2,15 @@
 
 Printing adds no parentheses beyond explicit Paren nodes, so a
 parse/print round trip is token-equivalent to the input.  Formatting is
-fixed (4-space indent, pragmas at column 0) and deterministic.  An
-`Overlay` adds directives to the printed text without changing the tree.
+fixed (4-space indent, pragmas at column 0) and deterministic.  A tree
+prints once into a `Template`; filling its holes with an `Overlay` adds
+directives to the text without changing the tree, so every variant of a
+program shape renders from its shape's one template.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .errors import PlanError
 from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
     FunctionDef, GlobalDecl, If, Index, Name, Num, Param, Paren, ProtoDecl,
@@ -19,14 +20,11 @@ from .nodes import (
 INDENT = "    "
 
 
-@dataclass
-class Overlay:
-    """Directives printed over a tree that does not hold them, keyed by the
-    identity of the node they belong to."""
-
-    before: dict[int, list] = field(default_factory=dict)  # id(stmt)
-    trailing: dict[int, list] = field(default_factory=dict)  # id(block)
-    codelets: dict[int, object] = field(default_factory=dict)  # id(fn)
+# Directives printed over a tree that does not hold them, by hole:
+# ("before", id(stmt)) and ("end", id(block)), as the transfer schedule's
+# slots, and ("codelet", id(fn)) for the directive that replaces a
+# function's own pragmas.
+Overlay = dict[tuple[str, int], list]
 
 
 def print_expr(e: Expr) -> str:
@@ -76,37 +74,69 @@ def print_param(p: Param) -> str:
     return text
 
 
+def _pragma_text(pragmas) -> str:
+    return "".join(line + "\n" for p in pragmas
+                   for line in p.render().splitlines())
+
+
+class Template:
+    """A tree printed once: text with holes where an overlay's directives
+    go.  A hole stands before each statement (before its own pragmas), at
+    the end of each block (after its trailing pragmas) and at each
+    function's pragma lines, which a codelet directive replaces."""
+
+    def __init__(self, parts: list[str], holes: dict[tuple[str, int], int]):
+        self.parts = parts  # text segments and, between them, hole defaults
+        self.holes = holes  # hole -> its index in `parts`
+
+    def fill(self, overlay: Overlay | None = None) -> str:
+        parts = list(self.parts)
+        for hole, directives in (overlay or {}).items():
+            if hole not in self.holes:
+                # a loop or if body block prints its brace on the header
+                # line, which leaves no room for directives before it
+                raise PlanError("internal: directives placed where the "
+                                "program prints no slot (%s)" % hole[0])
+            parts[self.holes[hole]] = _pragma_text(directives)
+        return "".join(parts)
+
+
 class _Printer:
-    def __init__(self, overlay: Overlay | None = None):
-        self.lines: list[str] = []
-        self.overlay = overlay or Overlay()
+    def __init__(self):
+        self.parts: list[str] = []
+        self.holes: dict[tuple[str, int], int] = {}
+        self.text: list[str] = []  # the lines since the last hole
 
-    def pragmas_of(self, s: Stmt) -> list:
-        """Overlay directives first, then the statement's own pragmas."""
-        return self.overlay.before.get(id(s), []) + s.pragmas
+    def line(self, text: str):
+        self.text.append(text + "\n")
 
-    def pragma_lines(self, pragmas):
-        for p in pragmas:
-            for line in p.render().splitlines():
-                self.lines.append(line)
+    def hole(self, kind: str, node, default: str = ""):
+        self.parts.append("".join(self.text))
+        self.text = []
+        self.holes[kind, id(node)] = len(self.parts)
+        self.parts.append(default)
+
+    def template(self) -> Template:
+        return Template(self.parts + ["".join(self.text)], self.holes)
 
     def stmt(self, s: Stmt, depth: int):
-        self.pragma_lines(self.pragmas_of(s))
+        self.hole("before", s)
+        self.text.append(_pragma_text(s.pragmas))
         pad = INDENT * depth
         if isinstance(s, DeclStmt):
-            self.lines.append(pad + _decl_fragment(s) + ";")
+            self.line(pad + _decl_fragment(s) + ";")
         elif isinstance(s, ExprStmt):
-            self.lines.append(pad + print_expr(s.expr) + ";")
+            self.line(pad + print_expr(s.expr) + ";")
         elif isinstance(s, Return):
             text = "return" + ("" if s.value is None else " " + print_expr(s.value))
-            self.lines.append(pad + text + ";")
+            self.line(pad + text + ";")
         elif isinstance(s, CallsiteStmt):
             args = ", ".join(print_expr(a) for a in s.args)
-            self.lines.append(pad + "%s(%s);" % (s.label, args))
+            self.line(pad + "%s(%s);" % (s.label, args))
         elif isinstance(s, Block):
-            self.lines.append(pad + "{")
+            self.line(pad + "{")
             self.block_body(s, depth + 1)
-            self.lines.append(pad + "}")
+            self.line(pad + "}")
         elif isinstance(s, For):
             if s.init is None:
                 init = ""
@@ -123,58 +153,59 @@ class _Printer:
         elif isinstance(s, If):
             self.attached_body("if (%s)" % print_expr(s.cond), s.then, depth)
             if s.orelse is not None:
-                if isinstance(s.orelse, Block) \
-                        and not self.pragmas_of(s.orelse):
-                    self.attached_body("else", s.orelse, depth)
-                else:
-                    self.lines.append(INDENT * depth + "else")
-                    self.stmt(s.orelse, depth + 1)
+                self.attached_body("else", s.orelse, depth)
         else:
             raise TypeError("cannot print statement %r" % (s,))
 
     def attached_body(self, head: str, body: Stmt, depth: int):
+        """A body block without pragmas opens on the header line, and so
+        has no hole before it."""
         pad = INDENT * depth
-        if isinstance(body, Block) and not self.pragmas_of(body):
-            self.lines.append(pad + head + " {")
+        if isinstance(body, Block) and not body.pragmas:
+            self.line(pad + head + " {")
             self.block_body(body, depth + 1)
-            self.lines.append(pad + "}")
+            self.line(pad + "}")
         else:
-            self.lines.append(pad + head)
+            self.line(pad + head)
             self.stmt(body, depth + 1)
 
     def block_body(self, block: Block, depth: int):
         for s in block.stmts:
             self.stmt(s, depth)
-        self.pragma_lines(block.trailing_pragmas)
-        self.pragma_lines(self.overlay.trailing.get(id(block), []))
+        self.text.append(_pragma_text(block.trailing_pragmas))
+        self.hole("end", block)
 
     def function(self, fn: FunctionDef):
-        codelet = self.overlay.codelets.get(id(fn))
-        self.pragma_lines(fn.pragmas if codelet is None else [codelet])
+        self.hole("codelet", fn, _pragma_text(fn.pragmas))
         params = ", ".join(print_param(p) for p in fn.params)
-        self.lines.append("%s %s(%s) {" % (fn.return_type, fn.name, params))
+        self.line("%s %s(%s) {" % (fn.return_type, fn.name, params))
         self.block_body(fn.body, 1)
-        self.lines.append("}")
+        self.line("}")
 
-    def unit(self, u: SourceUnit) -> str:
+    def unit(self, u: SourceUnit) -> Template:
         first = True
         for item in u.items:
             if not first:
-                self.lines.append("")
+                self.line("")
             first = False
             if isinstance(item, GlobalDecl):
-                self.pragma_lines(item.decl_stmt.pragmas)
-                self.lines.append(_decl_fragment(item.decl_stmt) + ";")
+                self.text.append(_pragma_text(item.decl_stmt.pragmas))
+                self.line(_decl_fragment(item.decl_stmt) + ";")
             elif isinstance(item, ProtoDecl):
                 star = "*" if item.pointer_result else ""
-                self.lines.append("%s %s%s(%s);" % (item.return_type, star,
-                                                    item.name, item.raw_params))
+                self.line("%s %s%s(%s);" % (item.return_type, star,
+                                            item.name, item.raw_params))
             elif isinstance(item, FunctionDef):
                 self.function(item)
             else:
                 raise TypeError("cannot print item %r" % (item,))
-        return "\n".join(self.lines) + "\n"
+        return self.template()
+
+
+def unit_template(unit: SourceUnit) -> Template:
+    """The unit printed once, for any number of overlays."""
+    return _Printer().unit(unit)
 
 
 def print_unit(unit: SourceUnit, overlay: Overlay | None = None) -> str:
-    return _Printer(overlay).unit(unit)
+    return unit_template(unit).fill(overlay)

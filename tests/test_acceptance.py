@@ -86,14 +86,18 @@ def _erasure_check(tmp_path, prog):
     unit = parse_file(DATA / prog)
     lists = block_plans(unit)
     ref = cc_run(load(prog), tmp_path, "ref_" + Path(prog).stem)
+    # many variants erase to the same text, which runs the same way
+    outputs = {}
     count = 0
     for i, combo in enumerate(itertools.product(*lists)):
         uv = UnitVariant("v%d" % i, combo, tuple(range(len(combo))))
         rv = build_variant(unit, uv)
         stripped = print_unit(strip_pragmas(
             parse_translation_unit(rv.source, "variant.c")))
-        out = cc_run(stripped, tmp_path, "v%d_%s" % (i, Path(prog).stem))
-        assert out == ref, (prog, uv.signature_text)
+        if stripped not in outputs:
+            outputs[stripped] = cc_run(stripped, tmp_path, "v%d_%s"
+                                       % (i, Path(prog).stem))
+        assert outputs[stripped] == ref, (prog, uv.signature_text)
         count += 1
     return count
 

@@ -1,11 +1,14 @@
 import re
 
+import pytest
+
 from hmppgen.emit import build_variant, write_variants
+from hmppgen.errors import PlanError
 from hmppgen.explore import block_plans
 from hmppgen.lexer import token_stream
 from hmppgen.parser import parse_translation_unit
 from hmppgen.pragmas import HmppArg, HmppDirective
-from hmppgen.printer import print_unit
+from hmppgen.printer import print_unit, unit_template
 from hmppgen.transform import find_omp_blocks
 from hmppgen.variants import (
     Signature, UnitVariant, VariantPlan, decode_signature, enumerate_variants,
@@ -204,3 +207,32 @@ def test_shared_shapes_render_like_fresh_builds_in_any_order():
     assert {key: print_unit(shape.unit)
             for key, shape in shapes.items()} == bare
     assert print_unit(unit) == original
+
+
+def test_template_holes_keep_the_printed_layout():
+    # a loop body block opens on the loop's line, so no directive can
+    # stand before it; every other statement takes directives before its
+    # own pragmas, and a codelet directive replaces a function's pragmas
+    unit = parse_translation_unit("""int main() {
+    int i;
+    for (i = 0; i < 4; i++) {
+        i = i;
+    }
+    return 0;
+}
+""")
+    [fn] = unit.functions
+    loop = fn.body.stmts[1]
+    template = unit_template(unit)
+    sync = [HmppDirective(kind="synchronize", label="k")]
+    assert template.fill() == print_unit(unit)
+    text = template.fill({("before", id(loop)): sync,
+                          ("end", id(loop.body)): sync,
+                          ("codelet", id(fn)): sync})
+    assert text.splitlines()[:4] == [
+        "#pragma hmpp k synchronize", "int main() {", "    int i;",
+        "#pragma hmpp k synchronize"]
+    assert text.splitlines()[5:7] == ["        i = i;",
+                                      "#pragma hmpp k synchronize"]
+    with pytest.raises(PlanError):
+        template.fill({("before", id(loop.body)): sync})

@@ -1,9 +1,12 @@
 import gc
+import importlib
 import math
+import pkgutil
 import random
 import re
 import subprocess
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +14,10 @@ from hypothesis import given, strategies as st
 from hmppgen.context import LoadPlan
 from hmppgen.emit import build_variant
 from hmppgen.errors import ExploreError
+import hmppgen
 import hmppgen.emit
 import hmppgen.explore
+import hmppgen.printer
 from hmppgen.explore import (
     CostModelParams, ExecutorSpec, block_plans, explore, median,
     parse_executor_config, run_exploration, simulate_variant, wh_to_joules,
@@ -257,13 +262,13 @@ def variants_for_sweep():
             for s in ((0, 0, 0), (0, 0, 1), (9, 1, 0), (11, 3, 0))]
 
 
-def test_simulated_sweep_has_identical_samples():
+def test_simulated_sweep_records_one_sample():
+    # the simulator is deterministic, so repeating it adds no information:
+    # whatever the repetitions, a row holds the one (time, energy) sample
     ms = run_exploration(variants_for_sweep(), ExecutorSpec(), repetitions=5)
     assert len(ms) == 4
     for m in ms:
-        assert len(m.samples) == 5
-        assert len(set(m.samples)) == 1
-        assert m.time_ms == m.samples[0][0]
+        assert m.samples == [(m.time_ms, m.energy_J)]
 
 
 def test_single_repetition_median_is_the_sample():
@@ -327,6 +332,52 @@ def test_explore_analyses_each_shape_once(tmp_path, monkeypatch):
     ms = explore(parse_fixture("pinned_pair.c"), tmp_path, repetitions=1)
     assert len(ms) == 43 and not any(m.failed for m in ms)
     assert len(calls) == 5
+
+
+def test_a_shape_is_walked_once_for_all_its_variants(monkeypatch):
+    # once each table5.c shape is analysed, rendering and simulating the
+    # rest of its variants walks no statement tree: no statement printing,
+    # no op counting, no trip or size folding
+    walkers = ("stmt_own_ops", "expr_ops", "loop_trips", "static_ops",
+               "fold_expr", "walk_exprs")
+    modules = [importlib.import_module("hmppgen." + m.name)
+               for m in pkgutil.iter_modules(hmppgen.__path__)]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    unit = parse_fixture("table5.c")
+    uvs = plans_for_unit(block_plans(unit), cap=2000)
+    shapes, first = {}, {}
+    for uv in uvs:
+        first.setdefault(tuple((p.block_id, not p.flags.baseline,
+                                p.flags.group and not p.flags.baseline)
+                               for p in uv.plans), uv)
+    for uv in first.values():
+        simulate_variant(build_variant(unit, uv, shapes=shapes))
+    assert len(uvs) == 1849 and len(first) == len(shapes) == 9
+
+    originals = {id(getattr(m, n)): (n, getattr(m, n))
+                 for m in modules for n in walkers if hasattr(m, n)}
+    for m in modules:
+        for key, value in list(vars(m).items()):
+            if id(value) in originals:
+                monkeypatch.setattr(m, key, counted(*originals[id(value)]))
+    printer = hmppgen.printer._Printer
+    monkeypatch.setattr(printer, "stmt",
+                        counted("_Printer.stmt", printer.stmt))
+    assert {name for name, _ in originals.values()} == set(walkers)
+
+    warmed = {id(uv) for uv in first.values()}
+    rest = [uv for uv in uvs if id(uv) not in warmed]
+    for uv in rest:
+        simulate_variant(build_variant(unit, uv, shapes=shapes))
+    assert len(rest) == 1840
+    assert calls == Counter()
 
 
 def test_explore_logs_build_diagnostics(tmp_path):

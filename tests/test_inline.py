@@ -190,7 +190,7 @@ def print_stmt(s):
     from hmppgen.printer import _Printer
     pr = _Printer()
     pr.stmt(s, 0)
-    return "\n".join(pr.lines)
+    return pr.template().fill().removesuffix("\n")
 
 
 def capture_of(texts, y):

@@ -132,8 +132,8 @@ def test_body_moved_verbatim():
     moved = copy.deepcopy(k.codelet.loop)
     moved.pragmas = []
     pr_out.stmt(moved, 0)
-    orig_lines = "\n".join(pr_orig.lines)
-    out_lines = "\n".join(pr_out.lines)
+    orig_lines = pr_orig.template().fill()
+    out_lines = pr_out.template().fill()
     orig_no_pragma = "\n".join(l for l in orig_lines.splitlines()
                                if not l.startswith("#pragma"))
     assert token_stream(out_lines) == token_stream(orig_no_pragma)
@@ -287,10 +287,12 @@ def test_table3_reduction_lowering():
     from hmppgen.printer import _Printer
     pr = _Printer()
     pr.stmt(body[0], 0)
-    assert pr.lines == ["double diffsum = *diffsum_reduced;"]
+    assert pr.template().fill().splitlines() == [
+        "double diffsum = *diffsum_reduced;"]
     pr2 = _Printer()
     pr2.stmt(body[-1], 0)
-    assert pr2.lines == ["*diffsum_reduced = diffsum;"]
+    assert pr2.template().fill().splitlines() == [
+        "*diffsum_reduced = diffsum;"]
     grid = body[1].pragmas[0]
     assert grid.kind == "gridify"
     assert grid.gridify_dims == ["1", "j"]
