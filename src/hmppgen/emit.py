@@ -31,7 +31,9 @@ from .errors import SourceError
 from .nodes import SourceUnit
 from .parser import Resolution, resolve
 from .pragmas import HmppArg, HmppDirective, OmpPragma
-from .printer import Overlay, Template, print_expr, unit_template
+from .printer import (
+    Overlay, Template, pragma_text, print_expr, unit_template,
+)
 from .transform import (
     Kernel, OmpBlock, check_global_scope, find_omp_blocks,
     inline_calls_in_place, insert_codelets, kernel_path_targets, outline_block,
@@ -105,8 +107,8 @@ def attach_directives(unit: SourceUnit, kernels: list[Kernel],
     declarations and mapbyname lead the function's first slot, and a
     callsite directive follows the rest of its slot.
     """
-    overlay: Overlay = {slot: _grouped_transfers(transfers)
-                        for slot, transfers in plan.schedule.items()}
+    holes = {slot: _grouped_transfers(transfers)
+             for slot, transfers in plan.schedule.items()}
     if plan.groups:
         head = [HmppDirective(kind="group", group=gp.label, target="CUDA")
                 for gp in plan.groups]
@@ -114,16 +116,17 @@ def attach_directives(unit: SourceUnit, kernels: list[Kernel],
                                symbols=[s.name for s in gp.mapbyname])
                  for gp in plan.groups if gp.mapbyname]
         first = "before", id(table.fn.body.stmts[0])
-        overlay[first] = head + overlay.get(first, [])
+        holes[first] = head + holes.get(first, [])
     label_fn = {fn.name: fn for fn in unit.functions}
     for k in kernels:
         codelet_fn = label_fn.get(k.label)
         if codelet_fn is not None:
-            overlay["codelet", id(codelet_fn)] = [
+            holes["codelet", id(codelet_fn)] = [
                 _codelet_directive(k, plan, table)]
-        overlay.setdefault(("before", id(k.callsite)), []).append(
+        holes.setdefault(("before", id(k.callsite)), []).append(
             _callsite_directive(k, plan))
-    return overlay
+    return {hole: pragma_text(directives)
+            for hole, directives in holes.items()}
 
 
 def _grouped_transfers(transfers: list) -> list[HmppDirective]:

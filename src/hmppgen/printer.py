@@ -20,11 +20,11 @@ from .nodes import (
 INDENT = "    "
 
 
-# Directives printed over a tree that does not hold them, by hole:
-# ("before", id(stmt)) and ("end", id(block)), as the transfer schedule's
-# slots, and ("codelet", id(fn)) for the directive that replaces a
-# function's own pragmas.
-Overlay = dict[tuple[str, int], list]
+# The text of directives printed over a tree that does not hold them, by
+# hole: ("before", id(stmt)) and ("end", id(block)), as the transfer
+# schedule's slots, and ("codelet", id(fn)) for the directive that
+# replaces a function's own pragmas.
+Overlay = dict[tuple[str, int], str]
 
 
 def print_expr(e: Expr) -> str:
@@ -74,7 +74,8 @@ def print_param(p: Param) -> str:
     return text
 
 
-def _pragma_text(pragmas) -> str:
+def pragma_text(pragmas) -> str:
+    """The lines of pragmas or directives, each ending in a newline."""
     return "".join(line + "\n" for p in pragmas
                    for line in p.render().splitlines())
 
@@ -91,13 +92,13 @@ class Template:
 
     def fill(self, overlay: Overlay | None = None) -> str:
         parts = list(self.parts)
-        for hole, directives in (overlay or {}).items():
+        for hole, text in (overlay or {}).items():
             if hole not in self.holes:
                 # a loop or if body block prints its brace on the header
                 # line, which leaves no room for directives before it
                 raise PlanError("internal: directives placed where the "
                                 "program prints no slot (%s)" % hole[0])
-            parts[self.holes[hole]] = _pragma_text(directives)
+            parts[self.holes[hole]] = text
         return "".join(parts)
 
 
@@ -121,7 +122,7 @@ class _Printer:
 
     def stmt(self, s: Stmt, depth: int):
         self.hole("before", s)
-        self.text.append(_pragma_text(s.pragmas))
+        self.text.append(pragma_text(s.pragmas))
         pad = INDENT * depth
         if isinstance(s, DeclStmt):
             self.line(pad + _decl_fragment(s) + ";")
@@ -172,11 +173,11 @@ class _Printer:
     def block_body(self, block: Block, depth: int):
         for s in block.stmts:
             self.stmt(s, depth)
-        self.text.append(_pragma_text(block.trailing_pragmas))
+        self.text.append(pragma_text(block.trailing_pragmas))
         self.hole("end", block)
 
     def function(self, fn: FunctionDef):
-        self.hole("codelet", fn, _pragma_text(fn.pragmas))
+        self.hole("codelet", fn, pragma_text(fn.pragmas))
         params = ", ".join(print_param(p) for p in fn.params)
         self.line("%s %s(%s) {" % (fn.return_type, fn.name, params))
         self.block_body(fn.body, 1)
@@ -189,7 +190,7 @@ class _Printer:
                 self.line("")
             first = False
             if isinstance(item, GlobalDecl):
-                self.text.append(_pragma_text(item.decl_stmt.pragmas))
+                self.text.append(pragma_text(item.decl_stmt.pragmas))
                 self.line(_decl_fragment(item.decl_stmt) + ";")
             elif isinstance(item, ProtoDecl):
                 star = "*" if item.pointer_result else ""

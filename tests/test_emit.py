@@ -8,7 +8,7 @@ from hmppgen.explore import block_plans
 from hmppgen.lexer import token_stream
 from hmppgen.parser import parse_translation_unit
 from hmppgen.pragmas import HmppArg, HmppDirective
-from hmppgen.printer import print_unit, unit_template
+from hmppgen.printer import pragma_text, print_unit, unit_template
 from hmppgen.transform import find_omp_blocks
 from hmppgen.variants import (
     Signature, UnitVariant, VariantPlan, decode_signature, enumerate_variants,
@@ -224,7 +224,7 @@ def test_template_holes_keep_the_printed_layout():
     [fn] = unit.functions
     loop = fn.body.stmts[1]
     template = unit_template(unit)
-    sync = [HmppDirective(kind="synchronize", label="k")]
+    sync = pragma_text([HmppDirective(kind="synchronize", label="k")])
     assert template.fill() == print_unit(unit)
     text = template.fill({("before", id(loop)): sync,
                           ("end", id(loop.body)): sync,
