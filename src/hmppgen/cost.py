@@ -14,8 +14,7 @@ count and each transferred symbol's byte size beside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .context import ContextTable, Slot, const_env, fold_expr
 from .nodes import (
@@ -115,8 +114,7 @@ def static_ops(stmt: Stmt, env: dict[Symbol, float],
 # the cost program
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     """A statement: the id of its "before" slot, the CPU accesses the
     simulator tracks ((symbol, is_write) pairs), its CPU op charges in the
     order the replay makes them, the steps it runs in turn (a block's
@@ -130,8 +128,7 @@ class Step:
     end: int = -1
 
 
-@dataclass(frozen=True, slots=True)
-class LoopStep:
+class LoopStep(NamedTuple):
     """A for or while loop; `charges` holds its init expression's ops."""
 
     slot: int
@@ -143,16 +140,14 @@ class LoopStep:
     body: Step
 
 
-@dataclass(frozen=True, slots=True)
-class CallStep:
+class CallStep(NamedTuple):
     """A callsite: the replay runs the kernel instead of the statement."""
 
     slot: int
     kernel: int  # index into the table's kernels
 
 
-@dataclass(frozen=True)
-class KernelCost:
+class KernelCost(NamedTuple):
     arg_ops: float  # by-value argument evaluation on the CPU
     ops: float  # the codelet body's ops, with its arguments folded in
     # (caller symbol, reduced, reads, writes) of each parameter passed by
@@ -160,8 +155,7 @@ class KernelCost:
     params: tuple[tuple[Symbol, bool, bool, bool], ...]
 
 
-@dataclass
-class CostProgram:
+class CostProgram(NamedTuple):
     body: Step
     slots: dict[Slot, int]  # every slot of the host function -> its id
     kernels: list[KernelCost]  # in the table's kernel order
