@@ -84,7 +84,7 @@ def cmd_transform(args) -> int:
     for d in rv.diagnostics:
         _err(d)
     write_variants([rv], stem, out_dir)
-    if args.dump_analysis and rv.table is not None and rv.plan is not None:
+    if args.dump_analysis:
         Path(args.dump_analysis).write_text(
             dump_context(rv.table) + dump_plan(rv.plan, rv.table),
             encoding="utf-8")

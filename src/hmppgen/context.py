@@ -75,8 +75,6 @@ class ContextTable:
     # those of arrays and of symbols a kernel touches
     cpu_events: dict[int, list[tuple[Symbol, str]]] = field(
         default_factory=dict)
-    # the function's initializer constants (`const_env`)
-    consts: dict[Symbol, float] = field(default_factory=dict)
 
     def add(self, ev: AccessEvent):
         self.events.setdefault(ev.symbol, []).append(ev)
@@ -159,42 +157,28 @@ def fold_expr(e: Expr, env: dict[Symbol, float],
     return None
 
 
-def const_env(fn: FunctionDef, res: Resolution) -> dict[Symbol, float]:
-    """Initializer constants of the function's scalars."""
-    env: dict[Symbol, float] = {}
-    for stmt in walk_stmts(fn.body):
-        if isinstance(stmt, DeclStmt):
-            for d in stmt.decls:
-                if d.init is not None and not d.dims:
-                    v = fold_expr(d.init, env, res)
-                    if v is not None:
-                        env[res.symbol_of_decl(d)] = v
-    return env
-
-
 # ---------------------------------------------------------------------------
 # building the table
 
 
 def build_context_table(unit: SourceUnit, kernels: list[Kernel],
                         res: Resolution) -> ContextTable:
-    """Access facts for the function hosting the callsites.
+    """Access facts for the function hosting the callsites, or with no
+    kernels for the function the program runs (`_host_function`).
 
     Codelet accesses surface at the callsite, attributed to the kernel;
     compound assignments yield a read then a write.  By-value scalar
     arguments count as CPU reads at the call.  The codelets must already
     be in `unit` (`insert_codelets`), and `res` resolves it as it is now:
     one resolution covers them all.  The table also links each statement
-    of a block to the slot after it and holds the function's initializer
-    constants, once for every variant of a shape.
+    of a block to the slot after it.
     """
     fns = {k.fn_name for k in kernels}
     if len(fns) > 1:
         raise AnalysisError("kernels span multiple functions: %s"
                             % ", ".join(sorted(fns)))
-    fn = unit.function(fns.pop())
-    table = ContextTable(fn=fn, kernels=list(kernels),
-                         consts=const_env(fn, res))
+    fn = unit.function(fns.pop()) if fns else _host_function(unit)
+    table = ContextTable(fn=fn, kernels=list(kernels))
     by_callsite = {id(k.callsite): k for k in kernels}
 
     site = [0]
@@ -234,6 +218,16 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel],
                     table.cpu_events.setdefault(id(ev.stmt), []).append(
                         (sym, ev.kind))
     return table
+
+
+def _host_function(unit: SourceUnit) -> FunctionDef:
+    """The function a program with no kernel runs: `main`, else the last
+    function defined (an empty one when the unit defines none)."""
+    for f in unit.functions:
+        if f.name == "main":
+            return f
+    return unit.functions[-1] if unit.functions \
+        else FunctionDef("", "void", [], Block())
 
 
 def _record_kernel_events(table: ContextTable, k: Kernel, site: int,

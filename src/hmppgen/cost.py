@@ -1,4 +1,4 @@
-"""Static operation counts, and the cost program of a program shape.
+"""Operation counts: the cost program of a program shape.
 
 The simulator charges CPU time by operations: the operators, subscripts
 and calls of each statement, with loop bodies repeated by their folded
@@ -9,14 +9,29 @@ analysis compiles its host function once (`compile_costs`) into a
 statement's slots, the CPU accesses the simulator tracks, its CPU op
 charges in order and folded loop trips, with each callsite's kernel op
 count and each transferred symbol's byte size beside it.
-`explore` replays that program against each variant's schedule and flags.
+`explore` replays that program against each variant's schedule and
+flags; the all-baseline variant's program is its host function with no
+callsite.
+
+This compiler is the only code that counts operations, so the baseline
+and the variants are costed by one set of rules:
+
+- a loop's init runs once each time the loop is entered, its condition
+  and update once per trip;
+- constants fold in program order: each scalar declaration's
+  initializer and each plain `=` assignment whose value folds binds its
+  variable, and a codelet starts from its arguments folded at its
+  callsite;
+- a codelet or a helper function compiles like the host function and
+  costs the ops of its steps run once, so a call to a helper costs the
+  helper's ops each time its statement runs.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .context import ContextTable, Slot, const_env, fold_expr
+from .context import ContextTable, Slot, fold_expr
 from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
     If, Name, Num, Paren, Return, SourceUnit, Stmt, Str, Symbol, While,
@@ -74,42 +89,6 @@ def loop_trips(stmt: Stmt, env: dict[Symbol, float],
     return max(stop - start + (1 if cond.op == "<=" else 0), 0.0)
 
 
-def static_ops(stmt: Stmt, env: dict[Symbol, float],
-               res: Resolution) -> float:
-    """Operation count of a statement subtree with loop trips folded in."""
-    env = dict(env)
-
-    def walk(s: Stmt) -> float:
-        total = float(stmt_own_ops(s))
-        if isinstance(s, (For, While)):
-            if isinstance(s, For):
-                header = expr_ops(s.init) + expr_ops(s.cond) + expr_ops(s.update)
-                if isinstance(s.init, DeclStmt):
-                    for d in s.init.decls:
-                        if d.init is not None:
-                            v = fold_expr(d.init, env, res)
-                            if v is not None:
-                                env[res.symbol_of_decl(d)] = v
-                        header += expr_ops(d.init)
-            else:
-                header = expr_ops(s.cond)
-            trips = loop_trips(s, env, res)
-            return trips * (header + walk(s.body))
-        if isinstance(s, Block):
-            return total + sum(walk(c) for c in s.stmts)
-        if isinstance(s, If):
-            branches = walk(s.then) + (walk(s.orelse) if s.orelse else 0.0)
-            return total + branches
-        if isinstance(s, ExprStmt) and isinstance(s.expr, Assign) \
-                and isinstance(s.expr.target, Name):
-            v = fold_expr(s.expr.value, env, res)
-            if v is not None and s.expr.op == "=":
-                env[res.symbol_of(s.expr.target)] = v
-        return total
-
-    return walk(stmt)
-
-
 # ---------------------------------------------------------------------------
 # the cost program
 
@@ -157,7 +136,7 @@ class KernelCost(NamedTuple):
 
 class CostProgram(NamedTuple):
     body: Step
-    slots: dict[Slot, int]  # every slot of the host function -> its id
+    slots: dict[Slot, int]  # each compiled statement's slots -> their ids
     kernels: list[KernelCost]  # in the table's kernel order
     sizes: dict[Symbol, int]  # bytes of every symbol a callsite passes
 
@@ -165,11 +144,14 @@ class CostProgram(NamedTuple):
 def compile_costs(unit: SourceUnit, table: ContextTable,
                   res: Resolution) -> CostProgram:
     """The cost program of the host function `table` describes; `res`
-    resolves `unit`, which holds the codelets."""
-    env = table.consts
+    resolves `unit`, which holds the codelets and the helpers."""
     slots: dict[Slot, int] = {}
     kernel_at = {id(k.callsite): i for i, k in enumerate(table.kernels)}
-    fn_ops: dict[str, float] = {}
+    kernels: list = [None] * len(table.kernels)
+    sizes: dict[Symbol, int] = {}
+    # a call of a function from its own body, the host's included, adds
+    # nothing
+    fn_ops = {table.fn.name: 0.0}
 
     def slot(kind: str, node: Stmt) -> int:
         slots[kind, id(node)] = len(slots)
@@ -180,13 +162,16 @@ def compile_costs(unit: SourceUnit, table: ContextTable,
             fn_ops[name] = 0.0
             for f in unit.functions:
                 if f.name == name:
-                    fn_ops[name] = static_ops(f.body, const_env(f, res), res)
+                    fn_ops[name] = _ops(step(f.body, {}))
         return fn_ops[name]
 
-    def step(stmt: Stmt):
+    def step(stmt: Stmt, env: dict[Symbol, float]):
+        """Compiles `stmt`, folding its bindings into `env`."""
         before = slot("before", stmt)
         if id(stmt) in kernel_at:
-            return CallStep(before, kernel_at[id(stmt)])
+            i = kernel_at[id(stmt)]
+            kernels[i] = kernel_cost(table.kernels[i], env)
+            return CallStep(before, i)
         events = tuple((sym, kind != "read")
                        for sym, kind in table.cpu_events.get(id(stmt), ()))
         if isinstance(stmt, For):
@@ -194,25 +179,36 @@ def compile_costs(unit: SourceUnit, table: ContextTable,
             return LoopStep(
                 before, events,
                 _nonzero([expr_ops(init)] if isinstance(init, Expr) else []),
-                step(init) if isinstance(init, DeclStmt) else None,
+                step(init, env) if isinstance(init, DeclStmt) else None,
                 loop_trips(stmt, env, res),
                 float(expr_ops(stmt.cond) + expr_ops(stmt.update)),
-                step(stmt.body))
+                step(stmt.body, env))
         if isinstance(stmt, While):
             return LoopStep(before, events, (), None,
                             loop_trips(stmt, env, res),
-                            float(expr_ops(stmt.cond)), step(stmt.body))
+                            float(expr_ops(stmt.cond)), step(stmt.body, env))
         charges = [float(stmt_own_ops(stmt))]
-        if isinstance(stmt, ExprStmt):
+        binds = []
+        if isinstance(stmt, DeclStmt):
+            binds = [(res.symbol_of_decl(d), d.init) for d in stmt.decls
+                     if d.init is not None and not d.dims]
+        elif isinstance(stmt, ExprStmt):
             charges += [function_ops(n.func) for n in walk_exprs(stmt.expr)
                         if isinstance(n, Call)]
-        stmts = tuple(step(c) for c in child_stmts(stmt))
+            e = stmt.expr
+            if isinstance(e, Assign) and e.op == "=" \
+                    and isinstance(e.target, Name):
+                binds = [(res.symbol_of(e.target), e.value)]
+        for sym, value in binds:
+            v = fold_expr(value, env, res)
+            if v is not None:
+                env[sym] = v
+        stmts = tuple(step(c, env) for c in child_stmts(stmt))
         return Step(before, events, _nonzero(charges), stmts,
                     slot("end", stmt) if isinstance(stmt, Block) else -1)
 
-    kernels = []
-    sizes: dict[Symbol, int] = {}
-    for k in table.kernels:
+    def kernel_cost(k, env: dict[Symbol, float]) -> KernelCost:
+        """The kernel's costs, its arguments folded where it is called."""
         kenv = {}
         for p, arg in zip(k.codelet.params, k.callsite.args):
             v = fold_expr(arg, env, res)
@@ -226,10 +222,21 @@ def compile_costs(unit: SourceUnit, table: ContextTable,
             sizes[sym] = _size(sym, env, res)
             params.append((sym, p.reduced, p.reduced or p.io in ("in", "inout"),
                            p.reduced or p.io in ("out", "inout")))
-        kernels.append(KernelCost(
-            float(sum(expr_ops(a) for a in k.callsite.args)),
-            static_ops(k.codelet.body, kenv, res), tuple(params)))
-    return CostProgram(step(table.fn.body), slots, kernels, sizes)
+        return KernelCost(float(sum(expr_ops(a) for a in k.callsite.args)),
+                          _ops(step(k.codelet.body, kenv)), tuple(params))
+
+    return CostProgram(step(table.fn.body, {}), slots, kernels, sizes)
+
+
+def _ops(step: Step) -> float:
+    """The ops of running a step once; a codelet or helper body has no
+    callsite step."""
+    total = sum(step.charges)
+    if type(step) is LoopStep:
+        if step.init is not None:
+            total += _ops(step.init)
+        return total + step.trips * (step.header + _ops(step.body))
+    return total + sum(_ops(s) for s in step.stmts)
 
 
 def _nonzero(charges: list) -> tuple:

@@ -6,13 +6,16 @@ harness use.  It works in two steps.  The analysis of a program *shape*
 the unit, outlines, inlines, resolves and builds the context table; no
 other flag reaches it, so every variant of one shape can share it.  The
 analysis then compiles the host function into a cost program for the
-simulator and prints the tree once into a template.  The render of one
-variant gives the shape's kernels that variant's flags, plans the
-transfers and fills the template's holes with the variant's HMPP
-directives (`attach_directives` returns an `Overlay`; the tree itself is
-never changed after its analysis).  Where each transfer prints, and in
-which order, is the plan's schedule, which `context` decides; this
-module only renders it.
+simulator and prints the tree once into a template.  A shape with no
+kernel, the all-baseline variant's, is analysed the same way: its table
+and cost program are those of the function the program runs, and its
+transfer plan is empty.  The render of one variant gives the shape's
+kernels that variant's flags, plans the transfers and fills the
+template's holes with the variant's HMPP directives
+(`attach_directives` returns an `Overlay`; the tree itself is never
+changed after its analysis).  Where each transfer prints, and in which
+order, is the plan's schedule, which `context` decides; this module only
+renders it.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ class RenderedVariant:
     unit: SourceUnit
     resolution: Resolution
     kernels: list[Kernel]
-    plan: Optional[TransferPlan]
-    table: Optional[ContextTable]
-    program: Optional[CostProgram]
+    plan: TransferPlan
+    table: ContextTable
+    program: CostProgram
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -199,10 +202,10 @@ class Shape:
     unit: SourceUnit
     resolution: Resolution
     kernels: list[Kernel]
-    table: Optional[ContextTable]
+    table: ContextTable
     groups: dict[int, GroupAssignment]
     diagnostics: list[str]
-    program: Optional[CostProgram]
+    program: CostProgram
     template: Template
 
 
@@ -219,14 +222,14 @@ def _shape_key(uv: UnitVariant, extra_inline: "tuple[str, ...] | str"):
 
 def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
                    extra_inline: "tuple[str, ...] | str") -> Shape:
-    """Outlines the non-baseline blocks of a copy of `unit`, inlines and
-    builds the context table.
+    """Outlines the non-baseline blocks of a copy of `unit`, inlines,
+    builds the context table and compiles the cost program; with no
+    kernels the table and the program are the host function's.
 
     The copy is resolved twice: before outlining (shared by the group
     probe and every block's outlining) and after the codelets are in
     place and inlined (shared by the context table, the scope check and
-    the simulator).  With no kernels the second resolution follows only
-    an extra inlining.
+    the simulator).
     """
     work = copy.deepcopy(unit)
     blocks = find_omp_blocks(work)
@@ -247,26 +250,19 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
         kernels.append(outline_block(work, b, flags, tag, res))
     _dissolve_regions(blocks, flags_by_block)
 
-    table = program = None
-    if kernels:
-        insert_codelets(work, kernels)
-        if extra_inline == "all":
-            inline_calls_in_place(work, "all")
-        else:
-            targets = kernel_path_targets(work, kernels) | set(extra_inline)
-            if targets:
-                inline_calls_in_place(work, targets)
-        res = resolve(work)
-        table = build_context_table(work, kernels, res)
-        program = compile_costs(work, table, res)
-        for k in kernels:
-            diagnostics.extend(check_global_scope(k.codelet, res))
-    elif extra_inline:
-        inline_calls_in_place(
-            work, "all" if extra_inline == "all" else tuple(extra_inline))
-        res = resolve(work)
-    return Shape(work, res, kernels, table, groups, diagnostics, program,
-                 unit_template(work))
+    insert_codelets(work, kernels)
+    if extra_inline == "all":
+        inline_calls_in_place(work, "all")
+    else:
+        targets = kernel_path_targets(work, kernels) | set(extra_inline)
+        if targets:
+            inline_calls_in_place(work, targets)
+    res = resolve(work)
+    table = build_context_table(work, kernels, res)
+    for k in kernels:
+        diagnostics.extend(check_global_scope(k.codelet, res))
+    return Shape(work, res, kernels, table, groups, diagnostics,
+                 compile_costs(work, table, res), unit_template(work))
 
 
 def build_variant(unit: SourceUnit, uv: UnitVariant,
@@ -292,21 +288,15 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
         raise shape.with_traceback(None)
     kernels = [replace(k, flags=flags_by_block[k.block_id])
                for k in shape.kernels]
-    plan = None
-    table = None
-    overlay = None
-    diagnostics = list(shape.diagnostics)
-    if kernels:
-        table = replace(shape.table, kernels=kernels)
-        plan = build_transfer_plan(shape.unit, table, shape.groups)
-        diagnostics.extend(plan.diagnostics)
-        overlay = attach_directives(shape.unit, kernels, plan, table)
+    table = replace(shape.table, kernels=kernels)
+    plan = build_transfer_plan(shape.unit, table, shape.groups)
+    overlay = attach_directives(shape.unit, kernels, plan, table)
     return RenderedVariant(
         name=uv.name, signature_text=uv.signature_text,
         filename_sig=uv.filename_sig, source=shape.template.fill(overlay),
         unit=shape.unit, resolution=shape.resolution, kernels=kernels,
         plan=plan, table=table, program=shape.program,
-        diagnostics=diagnostics)
+        diagnostics=shape.diagnostics + plan.diagnostics)
 
 
 def write_variant(rv: RenderedVariant, stem: str, out_dir) -> str:

@@ -8,8 +8,10 @@ structure through a deterministic closed-form cost model.  The replay
 runs the cost program its shape compiled once (`cost.CostProgram`: each
 statement's CPU accesses and op charges, folded loop trips and kernel op
 counts) against the variant's schedule, the transfers in the slots and
-order in which the variant prints them, and its kernel flags.  Being
-deterministic, a simulated variant records one sample.
+order in which the variant prints them, and its kernel flags.  The
+all-baseline variant replays the same way, with no callsite and an empty
+schedule, so every variant is costed by one model.  Being deterministic,
+a simulated variant records one sample.
 
 The simulator counts *logical* whole-object transfers: an upload is
 charged only when the host copy changed since the last upload of that
@@ -28,12 +30,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .context import (
-    LoadPlan, StorePlan, SyncPlan, TransferPlan, const_env, form_groups,
-)
-from .cost import CallStep, CostProgram, LoopStep, Step, static_ops
+from .context import LoadPlan, StorePlan, SyncPlan, TransferPlan, form_groups
+from .cost import CallStep, CostProgram, LoopStep, Step
 from .errors import AnalysisError, ExploreError, PlanError, TransformError
-from .nodes import Call, ExprStmt, SourceUnit, Symbol, walk_exprs, walk_stmts
+from .nodes import SourceUnit, Symbol
 from .emit import RenderedVariant, build_variant, write_manifest, write_variant
 from .parser import read_text
 from .transform import find_omp_blocks
@@ -363,25 +363,9 @@ class _Replay:
 
 def simulate_variant(rv: RenderedVariant,
                      params: CostModelParams = CostModelParams()) -> SimResult:
-    """Deterministic closed-form cost of one rendered variant."""
+    """Deterministic closed-form cost of one rendered variant; the
+    all-baseline variant replays its host function with no callsite."""
     params.validate()
-    if rv.table is None:
-        # untransformed baseline: everything runs on the CPU
-        unit, res = rv.unit, rv.resolution
-        main = unit.function("main") if any(
-            f.name == "main" for f in unit.functions) else unit.functions[-1]
-        ops = static_ops(main.body, const_env(main, res), res)
-        for stmt in walk_stmts(main.body):
-            if isinstance(stmt, ExprStmt):
-                for node in walk_exprs(stmt.expr):
-                    if isinstance(node, Call):
-                        for f in unit.functions:
-                            if f.name == node.func:
-                                ops += static_ops(f.body, const_env(f, res),
-                                                  res)
-        t = ops / params.cpu_throughput
-        energy = (params.power_cpu_active + params.power_memory) * t
-        return SimResult(t, energy, 0, 0, 0, 0, 0, 0, 0, 0.0, ops)
     return _Replay(rv, params).run()
 
 
@@ -528,39 +512,49 @@ def _run_shell_variant(rv: RenderedVariant, spec: ExecutorSpec, reps: int,
     return Measurement.from_samples(rv.name, rv.signature_text, samples)
 
 
+def measure(rv: RenderedVariant, executor: ExecutorSpec, repetitions: int,
+            logs: Optional[Path]) -> Measurement:
+    """One variant's Measurement: the median of `repetitions` shell runs,
+    or the one deterministic simulated sample; a failure fails only its
+    row.  The log in the existing directory `logs` opens with the build
+    diagnostics."""
+    log_lines = ["diagnostic: %s" % d for d in rv.diagnostics]
+    log = log_lines.append
+    if executor.mode == "simulated":
+        try:
+            sim = simulate_variant(rv, executor.params)
+            log("simulated: " + sim.breakdown())
+            m = Measurement.from_samples(rv.name, rv.signature_text,
+                                         [(sim.time_s * 1000.0, sim.energy_J)])
+        except ExploreError as e:
+            log("simulation failed: %s" % e)
+            m = Measurement.failure(rv.name, rv.signature_text, str(e))
+    else:
+        work = logs if logs is not None else Path(".")
+        m = _run_shell_variant(rv, executor, repetitions, work, log)
+    if logs is not None:
+        _write_log(logs, rv.filename_sig, log_lines)
+    return m
+
+
+def _check_run(executor: ExecutorSpec, repetitions: int,
+               logs: Optional[Path]):
+    """Validates a run's settings and makes its log directory."""
+    executor.validate()
+    if repetitions < 1:
+        raise ExploreError("repetitions must be >= 1")
+    if logs is not None:
+        logs.mkdir(parents=True, exist_ok=True)
+
+
 def run_exploration(variants: list[RenderedVariant], executor: ExecutorSpec,
                     repetitions: int = 5,
                     log_dir=None) -> list[Measurement]:
-    """One Measurement per variant: the median of `repetitions` shell runs,
-    or the one deterministic simulated sample; a failure fails only its
-    row.  Logs open with the build diagnostics."""
-    if repetitions < 1:
-        raise ExploreError("repetitions must be >= 1")
-    executor.validate()
+    """`measure` over variants already built, after the checks `explore`
+    makes; `perfbench/tracer.py` traces it by this name."""
     logs = Path(log_dir) if log_dir is not None else None
-    if logs is not None:
-        logs.mkdir(parents=True, exist_ok=True)
-    out: list[Measurement] = []
-    for rv in variants:
-        log_lines = ["diagnostic: %s" % d for d in rv.diagnostics]
-        log = log_lines.append
-        if executor.mode == "simulated":
-            try:
-                sim = simulate_variant(rv, executor.params)
-                log("simulated: " + sim.breakdown())
-                sample = (sim.time_s * 1000.0, sim.energy_J)
-                m = Measurement.from_samples(rv.name, rv.signature_text,
-                                             [sample])
-            except ExploreError as e:
-                log("simulation failed: %s" % e)
-                m = Measurement.failure(rv.name, rv.signature_text, str(e))
-        else:
-            work = logs if logs is not None else Path(".")
-            m = _run_shell_variant(rv, executor, repetitions, work, log)
-        out.append(m)
-        if logs is not None:
-            _write_log(logs, rv.filename_sig, log_lines)
-    return out
+    _check_run(executor, repetitions, logs)
+    return [measure(rv, executor, repetitions, logs) for rv in variants]
 
 
 def _write_log(logs: Path, filename_sig: str, lines: list[str]):
@@ -603,10 +597,9 @@ def explore(unit: SourceUnit, out_dir,
     executor = executor or ExecutorSpec()
     variants, logs = Path(out_dir) / "variants", Path(out_dir) / "logs"
     unit_variants = plans_for_unit(block_plans(unit, lines), cap=cap)
-    # validates the executor and makes the log directory before any output
-    measurements = run_exploration([], executor, repetitions, logs)
+    _check_run(executor, repetitions, logs)
     variants.mkdir(parents=True, exist_ok=True)
-    manifest = []
+    measurements, manifest = [], []
     shapes = {}  # at most 3 per check block: baseline, outlined, grouped
     for uv in unit_variants:
         try:
@@ -617,6 +610,6 @@ def explore(unit: SourceUnit, out_dir,
                 Measurement.failure(uv.name, uv.signature_text, str(e)))
             continue
         manifest.append(write_variant(rv, Path(unit.filename).stem, variants))
-        measurements += run_exploration([rv], executor, repetitions, logs)
+        measurements.append(measure(rv, executor, repetitions, logs))
     write_manifest(manifest, variants)
     return measurements

@@ -156,6 +156,30 @@ def test_transform_dump_analysis(tmp_path, capsys):
                for l in text.splitlines())
 
 
+
+def test_transform_dump_analysis_without_kernels(tmp_path, capsys):
+    # with no check block the dump holds the host function's context, all
+    # on the CPU, followed by the empty plan's blank line
+    dump = tmp_path / "analysis.txt"
+    code, out, err = run_cli(["transform", DATA / "inline_run.c",
+                              "--out", tmp_path / "o", "--inline", "all",
+                              "--dump-analysis", dump], capsys)
+    assert code == 0
+    *events, plan = dump.read_text().split("\n")[:-1]
+    assert plan == "" and len(events) == 43
+    assert all(re.fullmatch(r"event \S+ (read|write|addr) CPU site=\d+ "
+                            r"loops=\[\]", line) for line in events)
+    assert "event l write CPU site=27 loops=[]" in events
+
+
+def test_transform_inlines_a_unit_without_functions(tmp_path, capsys):
+    src = tmp_path / "globals.c"
+    src.write_text("int x = 3;\n")
+    code, out, err = run_cli(["transform", src, "--out", tmp_path / "o",
+                              "--inline", "all"], capsys)
+    assert (code, err) == (0, "")
+    assert (tmp_path / "o" / "globals__0_0_0.c").read_text() == "int x = 3;\n"
+
 REDUCTION_NOT_NAMED = """int printf(const char *, ...);
 
 float g() {

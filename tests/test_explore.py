@@ -19,7 +19,7 @@ import hmppgen.emit
 import hmppgen.explore
 import hmppgen.printer
 from hmppgen.explore import (
-    CostModelParams, ExecutorSpec, block_plans, explore, median,
+    CostModelParams, ExecutorSpec, block_plans, explore, measure, median,
     parse_executor_config, run_exploration, simulate_variant, wh_to_joules,
 )
 from hmppgen.parser import parse_translation_unit
@@ -254,7 +254,7 @@ def test_replay_runs_transfers_in_printed_order(monkeypatch):
     assert checked >= 4
 
 
-# -- run_exploration ---------------------------------------------------------------
+# -- measure ---------------------------------------------------------------------
 
 
 def variants_for_sweep():
@@ -265,35 +265,38 @@ def variants_for_sweep():
 def test_simulated_sweep_records_one_sample():
     # the simulator is deterministic, so repeating it adds no information:
     # whatever the repetitions, a row holds the one (time, energy) sample
-    ms = run_exploration(variants_for_sweep(), ExecutorSpec(), repetitions=5)
+    ms = [measure(rv, ExecutorSpec(), 5, None) for rv in variants_for_sweep()]
     assert len(ms) == 4
     for m in ms:
         assert m.samples == [(m.time_ms, m.energy_J)]
 
 
 def test_single_repetition_median_is_the_sample():
-    ms = run_exploration(variants_for_sweep()[:1], ExecutorSpec(),
-                         repetitions=1)
-    assert ms[0].samples[0] == (ms[0].time_ms, ms[0].energy_J)
+    m = measure(variants_for_sweep()[0], ExecutorSpec(), 1, None)
+    assert m.samples[0] == (m.time_ms, m.energy_J)
 
 
 def test_sweep_is_restartable():
     vs = variants_for_sweep()
-    a = run_exploration(vs, ExecutorSpec(), repetitions=3)
-    b = run_exploration(vs, ExecutorSpec(), repetitions=3)
+    a = [measure(rv, ExecutorSpec(), 3, None) for rv in vs]
+    b = [measure(rv, ExecutorSpec(), 3, None) for rv in vs]
     assert a == b
 
 
 def test_failures_do_not_abort_the_sweep():
     vs = variants_for_sweep()
     drop_loads(vs[3])  # unsound: fails in the simulator
-    ms = run_exploration(vs, ExecutorSpec(), repetitions=2)
+    ms = [measure(rv, ExecutorSpec(), 2, None) for rv in vs]
     assert len(ms) == 4
     assert not ms[0].failed and ms[3].failed
     assert "unsound" in ms[3].reason
 
 
-def test_repetitions_must_be_positive():
+def test_repetitions_must_be_positive(tmp_path):
+    # checked before the sweep writes anything
+    with pytest.raises(ExploreError):
+        explore(parse_fixture("gemm64.c"), tmp_path / "out", repetitions=0)
+    assert not (tmp_path / "out").exists()
     with pytest.raises(ExploreError):
         run_exploration([], ExecutorSpec(), repetitions=0)
 
@@ -338,8 +341,8 @@ def test_a_shape_is_walked_once_for_all_its_variants(monkeypatch):
     # once each table5.c shape is analysed, rendering and simulating the
     # rest of its variants walks no statement tree: no statement printing,
     # no op counting, no trip or size folding
-    walkers = ("stmt_own_ops", "expr_ops", "loop_trips", "static_ops",
-               "fold_expr", "walk_exprs")
+    walkers = ("stmt_own_ops", "expr_ops", "loop_trips", "fold_expr",
+               "walk_exprs")
     modules = [importlib.import_module("hmppgen." + m.name)
                for m in pkgutil.iter_modules(hmppgen.__path__)]
     calls = Counter()
@@ -451,7 +454,8 @@ int main() {
 
 def test_shadowed_loop_bound_folds_to_its_own_constant():
     # the kernel loop runs to the `n = 64` it sees, not to the earlier
-    # block's `n = 4`: the same count as with that one renamed
+    # block's `n = 4`: the same count as with that one renamed, here
+    # init 1 + 64 trips of (cond 1 + update 1 + body 4) = 385
     renamed = SHADOWED_BOUND.replace("int n = 4;", "int m = 4;") \
         .replace('", n);', '", m);')
     uv = UnitVariant("v", (VariantPlan.of(
@@ -459,7 +463,83 @@ def test_shadowed_loop_bound_folds_to_its_own_constant():
     ops = [simulate_variant(build_variant(parse_translation_unit(src),
                                           uv)).gpu_ops
            for src in (SHADOWED_BOUND, renamed)]
-    assert ops == [448.0, 448.0]
+    assert ops == [385.0, 385.0]
+
+
+# -- one cost model for the baseline and the variants ---------------------------
+
+NESTED_FOR = """int main() {
+    double A[4][8];
+    int i, j;
+    #pragma omp parallel for check
+    for (i = 0; i < 4; i++) {
+        for (j = 0; j < 8; j++) {
+            A[i][j] = 0.0;
+        }
+    }
+    return 0;
+}
+"""
+
+ASSIGNED_WHILE = """int main() {
+    double A[16];
+    int a;
+    int i;
+    a = 0;
+    while (a < 10) {
+        a = a + 1;
+    }
+    #pragma omp parallel for check
+    for (i = 0; i < 16; i++) {
+        A[i] = i;
+    }
+    return 0;
+}
+"""
+
+HELPER_IN_LOOP = """double twice(double x) {
+    return x * 2.0;
+}
+int main() {
+    double A[8];
+    double s;
+    int i, t;
+    s = 1.0;
+    for (t = 0; t < 5; t++) {
+        s = twice(s);
+    }
+    #pragma omp parallel for check
+    for (i = 0; i < 8; i++) {
+        A[i] = s;
+    }
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("src, sig, cpu_ops, gpu_ops", [
+    # a loop's init is charged once per entry: the inner `j = 0` 4 times,
+    # 1 + 4 * (cond 1 + update 1 + (1 + 8 * (1 + 1 + `A[i][j] = 0.0` 3)))
+    (NESTED_FOR, (0, 0, 0), 173, 0),
+    (NESTED_FOR, (0, 0, 1), 0, 173),
+    # `a = 0` folds, so the while runs 10 trips in both: `a = 0` 1 +
+    # 10 * (cond 1 + `a = a + 1` 2), and the kernel loop
+    # 1 + 16 * (1 + 1 + `A[i] = i` 2) = 65 on either side
+    (ASSIGNED_WHILE, (0, 0, 0), 31 + 65, 0),
+    (ASSIGNED_WHILE, (0, 0, 1), 31, 65),
+    # the helper's 1 op is charged on each of the 5 trips: `s = 1.0` 1 +
+    # 1 + 5 * (1 + 1 + `s = twice(s)` 2 + `x * 2.0` 1), and the kernel
+    # loop 1 + 8 * (1 + 1 + `A[i] = s` 2) = 33
+    (HELPER_IN_LOOP, (0, 0, 0), 27 + 33, 0),
+    (HELPER_IN_LOOP, (0, 0, 1), 27, 33),
+], ids=["nested-for-baseline", "nested-for-kernel", "assigned-while-baseline",
+        "assigned-while-kernel", "helper-in-loop-baseline",
+        "helper-in-loop-kernel"])
+def test_ops_match_hand_counts(src, sig, cpu_ops, gpu_ops):
+    uv = UnitVariant("v", (VariantPlan.of(
+        1, decode_signature(Signature(sig))),), (0,))
+    sim = simulate_variant(build_variant(parse_translation_unit(src), uv))
+    assert (sim.cpu_ops, sim.gpu_ops) == (cpu_ops, gpu_ops)
 
 
 # -- executor config -----------------------------------------------------------------
@@ -522,11 +602,11 @@ def test_shell_executor_runs_and_measures(tmp_path):
                         build="gcc -O1 -w {file} -o {exe} -lm",
                         run="{exe}", timeout=60,
                         energy_cmd="sh %s" % meter)
-    ms = run_exploration([rv], spec, repetitions=2, log_dir=tmp_path / "logs")
-    assert len(ms) == 1 and not ms[0].failed
-    assert ms[0].time_ms > 0
-    assert ms[0].energy_J > 0  # cumulative counter advanced between samples
-    log = (tmp_path / "logs" / ("%s.log" % rv.filename_sig)).read_text()
+    m = measure(rv, spec, 2, tmp_path)
+    assert not m.failed
+    assert m.time_ms > 0
+    assert m.energy_J > 0  # cumulative counter advanced between samples
+    log = (tmp_path / ("%s.log" % rv.filename_sig)).read_text()
     assert "build:" in log and "rep 0:" in log
 
 
@@ -536,8 +616,8 @@ def test_shell_executor_records_build_fail48ure(tmp_path):
     spec = ExecutorSpec(mode="shell", build="false {file} {exe}",
                         run="{exe}", timeout=30,
                         energy_cmd="sh %s" % meter)
-    ms = run_exploration([rv], spec, repetitions=1, log_dir=tmp_path / "logs")
-    assert ms[0].failed and "build" in ms[0].reason
+    m = measure(rv, spec, 1, tmp_path)
+    assert m.failed and "build" in m.reason
 
 
 def test_shell_build_timeout_fails_only_its_row(tmp_path):
@@ -547,10 +627,9 @@ def test_shell_build_timeout_fails_only_its_row(tmp_path):
                         build="sleep 2; gcc -O1 -w {file} -o {exe} -lm",
                         run="{exe}", timeout=0.3,
                         energy_cmd="sh %s" % meter)
-    ms = run_exploration([rv], spec, repetitions=1, log_dir=tmp_path / "logs")
-    assert len(ms) == 1
-    assert ms[0].failed and ms[0].reason == "build timeout after 0.3s"
-    log = (tmp_path / "logs" / ("%s.log" % rv.filename_sig)).read_text()
+    m = measure(rv, spec, 1, tmp_path)
+    assert m.failed and m.reason == "build timeout after 0.3s"
+    log = (tmp_path / ("%s.log" % rv.filename_sig)).read_text()
     assert "build timeout" in log
 
 
@@ -573,8 +652,8 @@ def test_hung_energy_source_fails_only_its_row(tmp_path, monkeypatch):
     monkeypatch.setattr(hmppgen.explore.subprocess, "run", run)
     spec = ExecutorSpec(mode="shell", build="true {file} {exe}", run="true",
                         timeout=5, energy_cmd=energy)
-    ms = run_exploration(rvs, spec, repetitions=1, log_dir=tmp_path / "logs")
+    ms = [measure(rv, spec, 1, tmp_path) for rv in rvs]
     assert [m.failed for m in ms] == [False, True, False]
     assert ms[1].reason == "energy source timed out after 30s"
-    log = (tmp_path / "logs" / ("%s.log" % rvs[1].filename_sig)).read_text()
+    log = (tmp_path / ("%s.log" % rvs[1].filename_sig)).read_text()
     assert "rep 0: energy source timed out after 30s" in log
