@@ -20,11 +20,12 @@ and the variants are costed by one set of rules:
   and update once per trip;
 - constants fold in program order: each scalar declaration's
   initializer and each plain `=` assignment whose value folds binds its
-  variable, and a codelet starts from its arguments folded at its
-  callsite;
+  variable, an array's size folds where it is declared, and a codelet
+  starts from its arguments folded at its callsite;
 - a codelet or a helper function compiles like the host function and
   costs the ops of its steps run once, so a call to a helper costs the
-  helper's ops each time its statement runs.
+  helper's ops each time it runs: in a statement, a declaration's
+  initializer, a condition or a loop header alike.
 """
 
 from __future__ import annotations
@@ -48,19 +49,24 @@ def expr_ops(e: Optional[Expr]) -> int:
                if not isinstance(n, (Num, Str, Name, Paren)))
 
 
-def stmt_own_ops(stmt: Stmt) -> int:
-    total = 0
+def own_exprs(stmt: Stmt) -> list[Expr]:
+    """The expressions a statement other than a loop evaluates once each
+    time it runs, not those of its child statements."""
     if isinstance(stmt, DeclStmt):
-        total += sum(expr_ops(d.init) for d in stmt.decls if d.init is not None)
-    elif isinstance(stmt, ExprStmt):
-        total += expr_ops(stmt.expr)
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        total += expr_ops(stmt.value)
-    elif isinstance(stmt, (While, If)):
-        total += expr_ops(stmt.cond)
-    elif isinstance(stmt, CallsiteStmt):
-        total += sum(expr_ops(a) for a in stmt.args)
-    return total
+        return [d.init for d in stmt.decls if d.init is not None]
+    if isinstance(stmt, ExprStmt):
+        return [stmt.expr]
+    if isinstance(stmt, Return) and stmt.value is not None:
+        return [stmt.value]
+    if isinstance(stmt, If):
+        return [stmt.cond]
+    if isinstance(stmt, CallsiteStmt):
+        return list(stmt.args)
+    return []
+
+
+def stmt_own_ops(stmt: Stmt) -> int:
+    return sum(expr_ops(e) for e in own_exprs(stmt))
 
 
 def loop_trips(stmt: Stmt, env: dict[Symbol, float],
@@ -138,7 +144,8 @@ class CostProgram(NamedTuple):
     body: Step
     slots: dict[Slot, int]  # each compiled statement's slots -> their ids
     kernels: list[KernelCost]  # in the table's kernel order
-    sizes: dict[Symbol, int]  # bytes of every symbol a callsite passes
+    # bytes of every array declared and of every symbol a callsite passes
+    sizes: dict[Symbol, int]
 
 
 def compile_costs(unit: SourceUnit, table: ContextTable,
@@ -165,6 +172,11 @@ def compile_costs(unit: SourceUnit, table: ContextTable,
                     fn_ops[name] = _ops(step(f.body, {}))
         return fn_ops[name]
 
+    def call_ops(exprs) -> list[float]:
+        """The ops of the helpers called in `exprs`, one per call."""
+        return [function_ops(n.func) for e in exprs for n in walk_exprs(e)
+                if isinstance(n, Call)]
+
     def step(stmt: Stmt, env: dict[Symbol, float]):
         """Compiles `stmt`, folding its bindings into `env`."""
         before = slot("before", stmt)
@@ -178,23 +190,29 @@ def compile_costs(unit: SourceUnit, table: ContextTable,
             init = stmt.init
             return LoopStep(
                 before, events,
-                _nonzero([expr_ops(init)] if isinstance(init, Expr) else []),
+                _nonzero([expr_ops(init)] + call_ops([init])
+                         if isinstance(init, Expr) else []),
                 step(init, env) if isinstance(init, DeclStmt) else None,
                 loop_trips(stmt, env, res),
-                float(expr_ops(stmt.cond) + expr_ops(stmt.update)),
+                float(expr_ops(stmt.cond) + expr_ops(stmt.update)
+                      + sum(call_ops([stmt.cond, stmt.update]))),
                 step(stmt.body, env))
         if isinstance(stmt, While):
             return LoopStep(before, events, (), None,
                             loop_trips(stmt, env, res),
-                            float(expr_ops(stmt.cond)), step(stmt.body, env))
-        charges = [float(stmt_own_ops(stmt))]
+                            float(expr_ops(stmt.cond)
+                                  + sum(call_ops([stmt.cond]))),
+                            step(stmt.body, env))
+        charges = [float(stmt_own_ops(stmt))] + call_ops(own_exprs(stmt))
         binds = []
         if isinstance(stmt, DeclStmt):
             binds = [(res.symbol_of_decl(d), d.init) for d in stmt.decls
                      if d.init is not None and not d.dims]
+            for d in stmt.decls:
+                if d.dims:  # an array's size folds where it is declared
+                    sym = res.symbol_of_decl(d)
+                    sizes[sym] = _size(sym, env, res)
         elif isinstance(stmt, ExprStmt):
-            charges += [function_ops(n.func) for n in walk_exprs(stmt.expr)
-                        if isinstance(n, Call)]
             e = stmt.expr
             if isinstance(e, Assign) and e.op == "=" \
                     and isinstance(e.target, Name):
@@ -219,7 +237,8 @@ def compile_costs(unit: SourceUnit, table: ContextTable,
             if p.io == "by-value-scalar":
                 continue
             sym = table.caller(k, p)
-            sizes[sym] = _size(sym, env, res)
+            # a parameter or a global folds from constants alone
+            sizes.setdefault(sym, _size(sym, {}, res))
             params.append((sym, p.reduced, p.reduced or p.io in ("in", "inout"),
                            p.reduced or p.io in ("out", "inout")))
         return KernelCost(float(sum(expr_ops(a) for a in k.callsite.args)),
@@ -245,7 +264,7 @@ def _nonzero(charges: list) -> tuple:
 
 
 def _size(sym: Symbol, env: dict[Symbol, float], res: Resolution) -> int:
-    """Bytes of the whole object, its declared dimensions folded in `env`."""
+    """Bytes of the whole object, its dimensions folded in `env`."""
     n = 1.0
     for d in sym.dims:
         v = fold_expr(d, env, res)

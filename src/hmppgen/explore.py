@@ -512,31 +512,6 @@ def _run_shell_variant(rv: RenderedVariant, spec: ExecutorSpec, reps: int,
     return Measurement.from_samples(rv.name, rv.signature_text, samples)
 
 
-def measure(rv: RenderedVariant, executor: ExecutorSpec, repetitions: int,
-            logs: Optional[Path]) -> Measurement:
-    """One variant's Measurement: the median of `repetitions` shell runs,
-    or the one deterministic simulated sample; a failure fails only its
-    row.  The log in the existing directory `logs` opens with the build
-    diagnostics."""
-    log_lines = ["diagnostic: %s" % d for d in rv.diagnostics]
-    log = log_lines.append
-    if executor.mode == "simulated":
-        try:
-            sim = simulate_variant(rv, executor.params)
-            log("simulated: " + sim.breakdown())
-            m = Measurement.from_samples(rv.name, rv.signature_text,
-                                         [(sim.time_s * 1000.0, sim.energy_J)])
-        except ExploreError as e:
-            log("simulation failed: %s" % e)
-            m = Measurement.failure(rv.name, rv.signature_text, str(e))
-    else:
-        work = logs if logs is not None else Path(".")
-        m = _run_shell_variant(rv, executor, repetitions, work, log)
-    if logs is not None:
-        _write_log(logs, rv.filename_sig, log_lines)
-    return m
-
-
 def _check_run(executor: ExecutorSpec, repetitions: int,
                logs: Optional[Path]):
     """Validates a run's settings and makes its log directory."""
@@ -550,11 +525,32 @@ def _check_run(executor: ExecutorSpec, repetitions: int,
 def run_exploration(variants: list[RenderedVariant], executor: ExecutorSpec,
                     repetitions: int = 5,
                     log_dir=None) -> list[Measurement]:
-    """`measure` over variants already built, after the checks `explore`
-    makes; `perfbench/tracer.py` traces it by this name."""
+    """One Measurement per variant: the median of `repetitions` shell runs,
+    or the one deterministic simulated sample; a failure fails only its
+    row.  Logs open with the build diagnostics."""
     logs = Path(log_dir) if log_dir is not None else None
     _check_run(executor, repetitions, logs)
-    return [measure(rv, executor, repetitions, logs) for rv in variants]
+    out: list[Measurement] = []
+    for rv in variants:
+        log_lines = ["diagnostic: %s" % d for d in rv.diagnostics]
+        log = log_lines.append
+        if executor.mode == "simulated":
+            try:
+                sim = simulate_variant(rv, executor.params)
+                log("simulated: " + sim.breakdown())
+                sample = (sim.time_s * 1000.0, sim.energy_J)
+                m = Measurement.from_samples(rv.name, rv.signature_text,
+                                             [sample])
+            except ExploreError as e:
+                log("simulation failed: %s" % e)
+                m = Measurement.failure(rv.name, rv.signature_text, str(e))
+        else:
+            work = logs if logs is not None else Path(".")
+            m = _run_shell_variant(rv, executor, repetitions, work, log)
+        out.append(m)
+        if logs is not None:
+            _write_log(logs, rv.filename_sig, log_lines)
+    return out
 
 
 def _write_log(logs: Path, filename_sig: str, lines: list[str]):
@@ -610,6 +606,6 @@ def explore(unit: SourceUnit, out_dir,
                 Measurement.failure(uv.name, uv.signature_text, str(e)))
             continue
         manifest.append(write_variant(rv, Path(unit.filename).stem, variants))
-        measurements.append(measure(rv, executor, repetitions, logs))
+        measurements += run_exploration([rv], executor, repetitions, logs)
     write_manifest(manifest, variants)
     return measurements

@@ -19,7 +19,7 @@ import hmppgen.emit
 import hmppgen.explore
 import hmppgen.printer
 from hmppgen.explore import (
-    CostModelParams, ExecutorSpec, block_plans, explore, measure, median,
+    CostModelParams, ExecutorSpec, block_plans, explore, median,
     parse_executor_config, run_exploration, simulate_variant, wh_to_joules,
 )
 from hmppgen.parser import parse_translation_unit
@@ -254,7 +254,7 @@ def test_replay_runs_transfers_in_printed_order(monkeypatch):
     assert checked >= 4
 
 
-# -- measure ---------------------------------------------------------------------
+# -- run_exploration ---------------------------------------------------------------
 
 
 def variants_for_sweep():
@@ -265,28 +265,29 @@ def variants_for_sweep():
 def test_simulated_sweep_records_one_sample():
     # the simulator is deterministic, so repeating it adds no information:
     # whatever the repetitions, a row holds the one (time, energy) sample
-    ms = [measure(rv, ExecutorSpec(), 5, None) for rv in variants_for_sweep()]
+    ms = run_exploration(variants_for_sweep(), ExecutorSpec(), repetitions=5)
     assert len(ms) == 4
     for m in ms:
         assert m.samples == [(m.time_ms, m.energy_J)]
 
 
 def test_single_repetition_median_is_the_sample():
-    m = measure(variants_for_sweep()[0], ExecutorSpec(), 1, None)
-    assert m.samples[0] == (m.time_ms, m.energy_J)
+    ms = run_exploration(variants_for_sweep()[:1], ExecutorSpec(),
+                         repetitions=1)
+    assert ms[0].samples[0] == (ms[0].time_ms, ms[0].energy_J)
 
 
 def test_sweep_is_restartable():
     vs = variants_for_sweep()
-    a = [measure(rv, ExecutorSpec(), 3, None) for rv in vs]
-    b = [measure(rv, ExecutorSpec(), 3, None) for rv in vs]
+    a = run_exploration(vs, ExecutorSpec(), repetitions=3)
+    b = run_exploration(vs, ExecutorSpec(), repetitions=3)
     assert a == b
 
 
 def test_failures_do_not_abort_the_sweep():
     vs = variants_for_sweep()
     drop_loads(vs[3])  # unsound: fails in the simulator
-    ms = [measure(rv, ExecutorSpec(), 2, None) for rv in vs]
+    ms = run_exploration(vs, ExecutorSpec(), repetitions=2)
     assert len(ms) == 4
     assert not ms[0].failed and ms[3].failed
     assert "unsound" in ms[3].reason
@@ -516,30 +517,78 @@ int main() {
 }
 """
 
+HELPER_IN_DECL = """double twice(double x) {
+    return x * 2.0;
+}
+int main() {
+    double A[8];
+    double s;
+    int i, t;
+    s = 0.0;
+    for (t = 0; t < 5; t++) {
+        double y = twice(1.0);
+        if (twice(y) > 1.0) {
+            s = s + y;
+        }
+    }
+    #pragma omp parallel for check
+    for (i = 0; i < 8; i++) {
+        A[i] = s;
+    }
+    return 0;
+}
+"""
 
-@pytest.mark.parametrize("src, sig, cpu_ops, gpu_ops", [
+RESIZED_ARRAY = """int main() {
+    int n = 64;
+    double A[n];
+    int i;
+    n = 4;
+    #pragma omp parallel for check
+    for (i = 0; i < 4; i++) {
+        A[i] = A[i] + 1.0;
+    }
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("src, sig, cpu_ops, gpu_ops, d2h_bytes", [
     # a loop's init is charged once per entry: the inner `j = 0` 4 times,
     # 1 + 4 * (cond 1 + update 1 + (1 + 8 * (1 + 1 + `A[i][j] = 0.0` 3)))
-    (NESTED_FOR, (0, 0, 0), 173, 0),
-    (NESTED_FOR, (0, 0, 1), 0, 173),
+    (NESTED_FOR, (0, 0, 0), 173, 0, 0),
+    (NESTED_FOR, (0, 0, 1), 0, 173, 4 * 8 * 8),
     # `a = 0` folds, so the while runs 10 trips in both: `a = 0` 1 +
     # 10 * (cond 1 + `a = a + 1` 2), and the kernel loop
     # 1 + 16 * (1 + 1 + `A[i] = i` 2) = 65 on either side
-    (ASSIGNED_WHILE, (0, 0, 0), 31 + 65, 0),
-    (ASSIGNED_WHILE, (0, 0, 1), 31, 65),
+    (ASSIGNED_WHILE, (0, 0, 0), 31 + 65, 0, 0),
+    (ASSIGNED_WHILE, (0, 0, 1), 31, 65, 16 * 8),
     # the helper's 1 op is charged on each of the 5 trips: `s = 1.0` 1 +
     # 1 + 5 * (1 + 1 + `s = twice(s)` 2 + `x * 2.0` 1), and the kernel
     # loop 1 + 8 * (1 + 1 + `A[i] = s` 2) = 33
-    (HELPER_IN_LOOP, (0, 0, 0), 27 + 33, 0),
-    (HELPER_IN_LOOP, (0, 0, 1), 27, 33),
+    (HELPER_IN_LOOP, (0, 0, 0), 27 + 33, 0, 0),
+    (HELPER_IN_LOOP, (0, 0, 1), 27, 33, 8 * 8),
+    # a helper called in a declaration or an `if` condition is charged
+    # too: `s = 0.0` 1 + 1 + 5 * (1 + 1 + `y = twice(1.0)` (1 + 1) +
+    # `twice(y) > 1.0` (2 + 1) + `s = s + y` 2), and the kernel loop 33
+    (HELPER_IN_DECL, (0, 0, 0), 47 + 33, 0, 0),
+    (HELPER_IN_DECL, (0, 0, 1), 47, 33, 8 * 8),
+    # A holds the 64 elements it was declared with, although `n = 4`
+    # later: `n = 4` 1 on the host, 1 + 4 * (1 + 1 + `A[i] = A[i] + 1.0` 4)
+    # in the kernel
+    (RESIZED_ARRAY, (0, 0, 0), 1 + 25, 0, 0),
+    (RESIZED_ARRAY, (0, 0, 1), 1, 25, 64 * 8),
 ], ids=["nested-for-baseline", "nested-for-kernel", "assigned-while-baseline",
         "assigned-while-kernel", "helper-in-loop-baseline",
-        "helper-in-loop-kernel"])
-def test_ops_match_hand_counts(src, sig, cpu_ops, gpu_ops):
+        "helper-in-loop-kernel", "helper-in-decl-baseline",
+        "helper-in-decl-kernel", "resized-array-baseline",
+        "resized-array-kernel"])
+def test_ops_match_hand_counts(src, sig, cpu_ops, gpu_ops, d2h_bytes):
     uv = UnitVariant("v", (VariantPlan.of(
         1, decode_signature(Signature(sig))),), (0,))
     sim = simulate_variant(build_variant(parse_translation_unit(src), uv))
-    assert (sim.cpu_ops, sim.gpu_ops) == (cpu_ops, gpu_ops)
+    assert (sim.cpu_ops, sim.gpu_ops, sim.d2h_bytes) \
+        == (cpu_ops, gpu_ops, d2h_bytes)
 
 
 # -- executor config -----------------------------------------------------------------
@@ -602,11 +651,11 @@ def test_shell_executor_runs_and_measures(tmp_path):
                         build="gcc -O1 -w {file} -o {exe} -lm",
                         run="{exe}", timeout=60,
                         energy_cmd="sh %s" % meter)
-    m = measure(rv, spec, 2, tmp_path)
-    assert not m.failed
-    assert m.time_ms > 0
-    assert m.energy_J > 0  # cumulative counter advanced between samples
-    log = (tmp_path / ("%s.log" % rv.filename_sig)).read_text()
+    ms = run_exploration([rv], spec, repetitions=2, log_dir=tmp_path / "logs")
+    assert len(ms) == 1 and not ms[0].failed
+    assert ms[0].time_ms > 0
+    assert ms[0].energy_J > 0  # cumulative counter advanced between samples
+    log = (tmp_path / "logs" / ("%s.log" % rv.filename_sig)).read_text()
     assert "build:" in log and "rep 0:" in log
 
 
@@ -616,8 +665,8 @@ def test_shell_executor_records_build_fail48ure(tmp_path):
     spec = ExecutorSpec(mode="shell", build="false {file} {exe}",
                         run="{exe}", timeout=30,
                         energy_cmd="sh %s" % meter)
-    m = measure(rv, spec, 1, tmp_path)
-    assert m.failed and "build" in m.reason
+    ms = run_exploration([rv], spec, repetitions=1, log_dir=tmp_path / "logs")
+    assert ms[0].failed and "build" in ms[0].reason
 
 
 def test_shell_build_timeout_fails_only_its_row(tmp_path):
@@ -627,9 +676,10 @@ def test_shell_build_timeout_fails_only_its_row(tmp_path):
                         build="sleep 2; gcc -O1 -w {file} -o {exe} -lm",
                         run="{exe}", timeout=0.3,
                         energy_cmd="sh %s" % meter)
-    m = measure(rv, spec, 1, tmp_path)
-    assert m.failed and m.reason == "build timeout after 0.3s"
-    log = (tmp_path / ("%s.log" % rv.filename_sig)).read_text()
+    ms = run_exploration([rv], spec, repetitions=1, log_dir=tmp_path / "logs")
+    assert len(ms) == 1
+    assert ms[0].failed and ms[0].reason == "build timeout after 0.3s"
+    log = (tmp_path / "logs" / ("%s.log" % rv.filename_sig)).read_text()
     assert "build timeout" in log
 
 
@@ -652,8 +702,8 @@ def test_hung_energy_source_fails_only_its_row(tmp_path, monkeypatch):
     monkeypatch.setattr(hmppgen.explore.subprocess, "run", run)
     spec = ExecutorSpec(mode="shell", build="true {file} {exe}", run="true",
                         timeout=5, energy_cmd=energy)
-    ms = [measure(rv, spec, 1, tmp_path) for rv in rvs]
+    ms = run_exploration(rvs, spec, repetitions=1, log_dir=tmp_path / "logs")
     assert [m.failed for m in ms] == [False, True, False]
     assert ms[1].reason == "energy source timed out after 30s"
-    log = (tmp_path / ("%s.log" % rvs[1].filename_sig)).read_text()
+    log = (tmp_path / "logs" / ("%s.log" % rvs[1].filename_sig)).read_text()
     assert "rep 0: energy source timed out after 30s" in log
