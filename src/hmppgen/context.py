@@ -5,6 +5,11 @@ on which host, and derives where uploads, downloads, group
 declarations, noupdate markings and synchronize points belong so that
 every accelerator read sees loaded data and every CPU read sees stored
 data, with as few whole-object transfers as possible.
+
+`place` answers every placement query once per program shape (groups,
+early-load, store and synchronize points); `build_transfer_plan` applies
+one variant's flags to that `Placement`: which loads, noupdate marks,
+stores, synchronizes and releases it prints, and in which slot.
 """
 
 from __future__ import annotations
@@ -162,9 +167,11 @@ def fold_expr(e: Expr, env: dict[Symbol, float],
 
 
 def build_context_table(unit: SourceUnit, kernels: list[Kernel],
-                        res: Resolution) -> ContextTable:
+                        res: Resolution,
+                        blocks: list[OmpBlock] = ()) -> ContextTable:
     """Access facts for the function hosting the callsites, or with no
-    kernels for the function the program runs (`_host_function`).
+    kernels for the function that holds the unit's check/fixed `blocks`
+    (`_host_function`).
 
     Codelet accesses surface at the callsite, attributed to the kernel;
     compound assignments yield a read then a write.  By-value scalar
@@ -177,7 +184,7 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel],
     if len(fns) > 1:
         raise AnalysisError("kernels span multiple functions: %s"
                             % ", ".join(sorted(fns)))
-    fn = unit.function(fns.pop()) if fns else _host_function(unit)
+    fn = unit.function(fns.pop()) if fns else _host_function(unit, blocks)
     table = ContextTable(fn=fn, kernels=list(kernels))
     by_callsite = {id(k.callsite): k for k in kernels}
 
@@ -220,12 +227,17 @@ def build_context_table(unit: SourceUnit, kernels: list[Kernel],
     return table
 
 
-def _host_function(unit: SourceUnit) -> FunctionDef:
-    """The function a program with no kernel runs: `main`, else the last
-    function defined (an empty one when the unit defines none)."""
-    for f in unit.functions:
-        if f.name == "main":
-            return f
+def _host_function(unit: SourceUnit, blocks: list[OmpBlock]) -> FunctionDef:
+    """The function a program with no kernel is costed over: the one that
+    holds all its check/fixed blocks, as its variants are, else `main`,
+    else the last function defined (an empty one when the unit defines
+    none)."""
+    held = {b.fn.name for b in blocks if b.annotated}
+    preferred = [held.pop()] if len(held) == 1 else []
+    for name in preferred + ["main"]:
+        for f in unit.functions:
+            if f.name == name:
+                return f
     return unit.functions[-1] if unit.functions \
         else FunctionDef("", "void", [], Block())
 
@@ -491,6 +503,102 @@ class ReleasePlan:
 
 
 @dataclass
+class KernelPlacement:
+    """What no flag changes about one kernel's transfers: the symbol and
+    early-load point of each input worth loading early, its arrays whose
+    address the CPU takes, (parameter, caller symbol, first CPU read, the
+    group's last writer) of each output the CPU reads again, and where an
+    asynchronous call completes."""
+
+    loads: list[tuple[Symbol, InsertionPoint]]
+    address_taken: list[Symbol]
+    outputs: list[tuple[Param, Symbol, InsertionPoint, Kernel]]
+    sync: InsertionPoint
+
+
+@dataclass
+class Placement:
+    """The transfer points every variant of one program shape shares."""
+
+    groups: list[GroupPlan] = field(default_factory=list)
+    group_of: dict[str, str] = field(default_factory=dict)  # kernel -> group
+    kernels: dict[str, KernelPlacement] = field(default_factory=dict)
+
+
+def place(table: ContextTable,
+          groups: dict[int, GroupAssignment]) -> Placement:
+    """Answers every placement query of the table's kernels once.
+
+    `groups` holds the shape's group-flagged blocks.  A group's members
+    are in program order; a symbol maps by name when every member that
+    passes it can rely on the early load and no other symbol in the
+    function has its name: mapbyname stands at the top of the function
+    and matches by name, so it would alias the two.
+    """
+    out = Placement()
+    by_ga: dict[int, list[Kernel]] = {}
+    for k in table.kernels:
+        ga = groups.get(k.block_id)
+        if ga is not None:
+            by_ga.setdefault(ga.ordinal, []).append(k)
+            out.group_of[k.label] = ga.label
+    names = table.name_counts()
+    for ordinal in sorted(by_ga):
+        ks = sorted(by_ga[ordinal], key=lambda k: table.site(k.callsite))
+        users: dict[Symbol, list[Kernel]] = {}
+        for k in ks:
+            for p in k.array_params:
+                users.setdefault(table.caller(k, p), []).append(k)
+        out.groups.append(GroupPlan(
+            groups[ks[0].block_id].label, [k.label for k in ks],
+            [sym for sym, us in users.items() if names[sym.name] == 1
+             and all(load_point(sym, m.label, table) is not None
+                     for m in us)]))
+    plan_of = {gp.label: gp for gp in out.groups}
+    for k in table.kernels:
+        gp = plan_of.get(out.group_of.get(k.label))
+        members = gp.kernels if gp is not None else [k.label]
+        loads, address_taken = [], []
+        for p in k.array_params:
+            sym = table.caller(k, p)
+            if address_disabled(sym, table):
+                address_taken.append(sym)
+                continue
+            # a mapped symbol any member reads is a group-level input
+            # worth one shared upload
+            group_read = gp is not None and sym in gp.mapbyname and any(
+                ev.host.kernel in members and ev.kind in ("read", "addr")
+                for ev in table.of(sym))
+            if p.io in ("in", "inout") or group_read:
+                point = load_point(sym, k.label, table)
+                if point is not None:
+                    loads.append((sym, point))
+        outputs = []
+        for p in k.codelet.params:
+            if p.reduced or (p.is_array and p.io in ("out", "inout")):
+                sym = table.caller(k, p)
+                read = first_cpu_read_site(sym, k.label, table)
+                if read is not None:  # else a dead output, no download
+                    outputs.append((p, sym, read,
+                                    _last_writer(table, members, k, sym)))
+        sync = min((read for _, _, read, _ in outputs),
+                   key=lambda point: table.site(point.anchor),
+                   default=InsertionPoint(k.callsite, "after"))
+        out.kernels[k.label] = KernelPlacement(loads, address_taken, outputs,
+                                               sync)
+    return out
+
+
+def _last_writer(table: ContextTable, members: list[str], k: Kernel,
+                 sym: Symbol) -> Kernel:
+    """The group member that writes `sym` last, else `k`."""
+    writers = [m for m in map(table.kernel_of, members)
+               if any(ev.host.kernel == m.label and ev.kind == "write"
+                      for ev in table.of(sym))]
+    return max(writers, key=lambda m: table.site(m.callsite), default=k)
+
+
+@dataclass
 class TransferPlan:
     groups: list[GroupPlan] = field(default_factory=list)
     loads: list[LoadPlan] = field(default_factory=list)
@@ -498,77 +606,82 @@ class TransferPlan:
     noupdate: dict[str, list[Symbol]] = field(default_factory=dict)
     asyncs: list[SyncPlan] = field(default_factory=list)
     releases: list[ReleasePlan] = field(default_factory=list)
-    io_override: dict[tuple[str, Symbol], str] = field(default_factory=dict)
     group_of: dict[str, str] = field(default_factory=dict)  # kernel -> group
-    mapped: dict[str, list[Symbol]] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
     # slot -> the loads, synchronizes, stores and releases printed there
     schedule: dict[Slot, list] = field(default_factory=dict)
 
     def is_mapped(self, kernel: str, symbol: Symbol) -> bool:
+        """True when the kernel's group maps the symbol by name."""
         g = self.group_of.get(kernel)
-        return g is not None and symbol in self.mapped.get(g, ())
+        return any(gp.label == g and symbol in gp.mapbyname
+                   for gp in self.groups)
 
     def has_noupdate(self, kernel: str, symbol: Symbol) -> bool:
         return symbol in self.noupdate.get(kernel, ())
 
 
-def build_transfer_plan(unit: SourceUnit, table: ContextTable,
-                        groups: dict[int, GroupAssignment]) -> TransferPlan:
-    """Derives directive placements for the outlined unit.
+def build_transfer_plan(table: ContextTable, placement: Placement,
+                        flags: dict[int, FlagSet]) -> TransferPlan:
+    """Applies one variant's flags, by block id, to its shape's placement.
 
     Flags select placement, never soundness: without `advancedload` or
     `delegatedstore` the transfers stay at the callsite; the flags move
     them to the last-CPU-write / first-CPU-read points, `noupdate`
     suppresses redundant per-call copies of resident data, `group`
     shares residency between kernels, and `asynchronous` defers
-    completion to an explicit synchronize.  `schedule` holds every
+    completion to an explicit synchronize.  Each symbol loads (and
+    stores) once per group or ungrouped kernel.  `schedule` holds every
     transfer in the slot where it is printed, in the printed order.
     """
-    plan = TransferPlan()
-    kernels = table.kernels
-    for k in kernels:
-        k.flags.validate()
-        if k.flags.noupdate and not k.flags.advancedload:
-            raise PlanError("noupdate requested without any load for %s"
-                            % k.label)
-
-    # groups: members in program order, shared symbols mapped by name
-    by_ga: dict[int, list[Kernel]] = {}
-    for k in kernels:
-        ga = groups.get(k.block_id)
-        if ga is not None and k.flags.group:
-            by_ga.setdefault(ga.ordinal, []).append(k)
-            plan.group_of[k.label] = ga.label
-    for ordinal in sorted(by_ga):
-        ks = sorted(by_ga[ordinal], key=lambda k: table.site(k.callsite))
-        label = groups[ks[0].block_id].label
-        gp = GroupPlan(label, [k.label for k in ks])
-        plan.groups.append(gp)
-
-    # per-group mapped (resident) symbols, in first kernel-use order; a
-    # symbol maps only when every member can rely on the early load and no
-    # other symbol in the function has its name: mapbyname stands at the
-    # top of the function and matches by name, so it would alias the two
-    names = table.name_counts()
-    for gp in plan.groups:
-        users: dict[Symbol, list[Kernel]] = {}
-        for k in map(table.kernel_of, gp.kernels):
-            for p in k.array_params:
-                users.setdefault(table.caller(k, p), []).append(k)
-        gp.mapbyname = [sym for sym, ks in users.items()
-                        if names[sym.name] == 1
-                        and all(load_point(sym, m.label, table) is not None
-                                for m in ks)]
-        plan.mapped[gp.label] = gp.mapbyname
-        for k_label in gp.kernels:
-            for sym in gp.mapbyname:
-                plan.io_override[(k_label, sym)] = "in"
-
-    _plan_loads(plan, table)
-    _plan_stores(plan, table)
-    _plan_async(plan, table)
-    _plan_releases(plan, table)
+    plan = TransferPlan(groups=placement.groups, group_of=placement.group_of)
+    loaded: set[tuple[str, Symbol]] = set()  # (scope, symbol)
+    stored: set[tuple[str, Symbol]] = set()
+    for k in table.kernels:
+        f = flags[k.block_id]
+        f.validate()
+        kp = placement.kernels[k.label]
+        group = plan.group_of.get(k.label)
+        scope = group or k.label
+        if f.advancedload:
+            plan.diagnostics += [
+                "address of %r is taken; falling back to per-callsite "
+                "transfers" % sym.name for sym in kp.address_taken]
+            for sym, point in kp.loads:
+                if (scope, sym) not in loaded:
+                    loaded.add((scope, sym))
+                    plan.loads.append(LoadPlan(sym, point, k.label, group))
+        # noupdate marks arguments whose device copy stays valid: ones
+        # loaded early, plus group-mapped ones (resident by construction)
+        if f.noupdate:
+            marks = [sym for sym in (table.caller(k, p)
+                                     for p in k.array_params)
+                     if (scope, sym) in loaded
+                     or plan.is_mapped(k.label, sym)]
+            if marks:
+                plan.noupdate[k.label] = marks
+        for p, sym, read, writer in kp.outputs:
+            if p.reduced:
+                # auto per-call transfer handles the scalar except under
+                # asynchronous execution, where completion is explicit
+                if f.asynchronous:
+                    point = (read if f.delegatedstore
+                             else InsertionPoint(k.callsite, "after"))
+                    plan.stores.append(StorePlan(sym, p, point, k.label,
+                                                 group))
+                continue
+            if not (f.delegatedstore or plan.is_mapped(k.label, sym)
+                    or plan.has_noupdate(k.label, sym)):
+                continue  # auto download at the callsite
+            if (scope, sym) in stored:
+                continue
+            stored.add((scope, sym))
+            point = (read if f.delegatedstore
+                     else InsertionPoint(writer.callsite, "after"))
+            plan.stores.append(StorePlan(sym, p, point, writer.label, group))
+        if f.asynchronous:
+            plan.asyncs.append(SyncPlan(k.label, group, kp.sync))
+    _plan_releases(plan, table, flags)
     # the order of the transfers in one slot, each kind in plan order; the
     # printer puts group declarations before them and a callsite after
     for transfers in (plan.loads, plan.asyncs, plan.stores, plan.releases):
@@ -577,155 +690,23 @@ def build_transfer_plan(unit: SourceUnit, table: ContextTable,
     return plan
 
 
-def _kernel_outputs(k: Kernel, table: ContextTable) -> list[Symbol]:
-    out = [p for p in k.array_params if p.io in ("out", "inout")]
-    out.extend(p for p in k.codelet.params if p.reduced)
-    return [table.caller(k, p) for p in out]
-
-
-def _plan_loads(plan: TransferPlan, table: ContextTable):
-    loaded: dict[tuple[str, Symbol], InsertionPoint] = {}  # (scope, sym)
-    for k in table.kernels:
-        group = plan.group_of.get(k.label)
-        scope = group or k.label
-        if not k.flags.advancedload:
-            continue
-        for p in k.array_params:
-            sym = table.caller(k, p)
-            if address_disabled(sym, table):
-                plan.diagnostics.append(
-                    "address of %r is taken; falling back to per-callsite "
-                    "transfers" % sym.name)
-                continue
-            mapped = plan.is_mapped(k.label, sym)
-            group_read = group is not None and mapped and _group_reads(
-                plan, table, group, sym)
-            if p.io not in ("in", "inout") and not group_read:
-                continue
-            if (scope, sym) in loaded:
-                continue
-            point = load_point(sym, k.label, table)
-            if point is None:
-                continue  # per-callsite transfer is already optimal
-            loaded[(scope, sym)] = point
-            plan.loads.append(LoadPlan(sym, point, k.label, group))
-        # noupdate marks arguments whose device copy stays valid: ones
-        # loaded early, plus group-mapped ones (resident by construction)
-        if k.flags.noupdate:
-            marks = []
-            for p in k.array_params:
-                sym = table.caller(k, p)
-                if (scope, sym) in loaded or plan.is_mapped(k.label, sym):
-                    marks.append(sym)
-            if marks:
-                plan.noupdate[k.label] = marks
-
-
-def _group_reads(plan: TransferPlan, table: ContextTable, group: str,
-                 sym: Symbol) -> bool:
-    """True when any member of the group reads the symbol, making it a
-    group-level input worth one shared upload."""
-    labels = [l for gp in plan.groups if gp.label == group for l in gp.kernels]
-    for label in labels:
-        for ev in table.of(sym):
-            if ev.host.kernel == label and ev.kind in ("read", "addr"):
-                return True
-    return False
-
-
-def _plan_stores(plan: TransferPlan, table: ContextTable):
-    stored: set[tuple[str, Symbol]] = set()
-    for k in table.kernels:
-        group = plan.group_of.get(k.label)
-        scope = group or k.label
-        for p in k.codelet.params:
-            if not (p.is_array or p.reduced):
-                continue
-            sym = table.caller(k, p)
-            is_output = (p.reduced or p.io in ("out", "inout"))
-            if not is_output:
-                continue
-            read = first_cpu_read_site(sym, k.label, table)
-            if read is None:
-                continue  # dead output, no download
-            mapped = plan.is_mapped(k.label, sym)
-            noup = plan.has_noupdate(k.label, sym)
-            suppressed = mapped or noup
-            if p.reduced:
-                # auto per-call transfer handles the scalar except under
-                # asynchronous execution, where completion is explicit
-                if not k.flags.asynchronous:
-                    continue
-                point = (read if k.flags.delegatedstore
-                         else InsertionPoint(k.callsite, "after"))
-                plan.stores.append(StorePlan(sym, p, point, k.label, group))
-                continue
-            if not suppressed and not k.flags.delegatedstore:
-                continue  # auto download at the callsite
-            writer = _last_writer(plan, table, k, sym)
-            if (scope, sym) in stored:
-                continue
-            stored.add((scope, sym))
-            point = (read if k.flags.delegatedstore
-                     else InsertionPoint(writer.callsite, "after"))
-            plan.stores.append(StorePlan(sym, p, point, writer.label, group))
-
-
-def _last_writer(plan: TransferPlan, table: ContextTable, k: Kernel,
-                 sym: Symbol) -> Kernel:
-    group = plan.group_of.get(k.label)
-    if group is None:
-        return k
-    members = [m for m in table.kernels
-               if plan.group_of.get(m.label) == group]
-    writers = [m for m in members
-               if any(ev.host.kernel == m.label and ev.kind == "write"
-                      for ev in table.of(sym))]
-    if not writers:
-        return k
-    return max(writers, key=lambda m: table.site(m.callsite))
-
-
-def _plan_async(plan: TransferPlan, table: ContextTable):
-    for k in table.kernels:
-        if not k.flags.asynchronous:
-            continue
-        best: Optional[InsertionPoint] = None
-        best_site = None
-        for sym in _kernel_outputs(k, table):
-            point = first_cpu_read_site(sym, k.label, table)
-            if point is None:
-                continue
-            site = table.site(point.anchor)
-            if best_site is None or site < best_site:
-                best, best_site = point, site
-        if best is None:
-            best = InsertionPoint(k.callsite, "after")
-        plan.asyncs.append(SyncPlan(k.label, plan.group_of.get(k.label), best))
-
-
-def _plan_releases(plan: TransferPlan, table: ContextTable):
+def _plan_releases(plan: TransferPlan, table: ContextTable,
+                   flags: dict[int, FlagSet]):
     def last_anchor(labels: list[str]) -> InsertionPoint:
-        latest: Optional[Stmt] = None
-        latest_site = -1
-        for k in table.kernels:
-            if k.label not in labels:
-                continue
-            for cand in [k.callsite] + \
-                    [s.point.anchor for s in plan.stores if s.label == k.label] + \
-                    [l.point.anchor for l in plan.loads if l.label == k.label] + \
-                    [a.point.anchor for a in plan.asyncs if a.label == k.label]:
-                site = table.site(cand)
-                if site > latest_site:
-                    latest, latest_site = cand, site
-        return InsertionPoint(latest, "after")
+        """After the latest callsite, load, store or synchronize of the
+        kernels."""
+        anchors = [k.callsite for k in table.kernels if k.label in labels]
+        anchors += [t.point.anchor for t in plan.loads + plan.stores
+                    + plan.asyncs if t.label in labels]
+        return InsertionPoint(max(anchors, key=table.site), "after")
 
+    released = {k.label for k in table.kernels if flags[k.block_id].release}
     for gp in plan.groups:
-        if any(table.kernel_of(lbl).flags.release for lbl in gp.kernels):
+        if released.intersection(gp.kernels):
             plan.releases.append(ReleasePlan(gp.label, True,
                                              last_anchor(gp.kernels)))
     for k in table.kernels:
-        if k.flags.release and k.label not in plan.group_of:
+        if k.label in released and k.label not in plan.group_of:
             plan.releases.append(ReleasePlan(k.label, False,
                                              last_anchor([k.label])))
 
@@ -736,7 +717,9 @@ def _plan_releases(plan: TransferPlan, table: ContextTable):
 
 def _display_names(table: ContextTable) -> dict[Symbol, str]:
     """Each symbol's name, as `name@<declaration line>` when another
-    symbol in the table carries the same name."""
+    symbol in the table carries the same name, and then `#<n>`, counting
+    from 1 in table order, when another also has that declaration line
+    (the inlined copies of one helper's local do)."""
     count = table.name_counts()
     names = {}
     for sym in table.events:
@@ -745,6 +728,12 @@ def _display_names(table: ContextTable) -> dict[Symbol, str]:
             # a parameter is declared on its function's line
             names[sym] += "@%d" % (sym.decl.line if isinstance(
                 sym.decl, DeclStmt) else table.fn.line)
+    shared = Counter(names.values())
+    seen = Counter()
+    for sym, name in names.items():
+        if shared[name] > 1:
+            seen[name] += 1
+            names[sym] = "%s#%d" % (name, seen[name])
     return names
 
 

@@ -3,36 +3,38 @@
 `build_variant` is the single entry point the driver and the exploration
 harness use.  It works in two steps.  The analysis of a program *shape*
 (which blocks are outlined, and which of those are group-flagged) copies
-the unit, outlines, inlines, resolves and builds the context table; no
-other flag reaches it, so every variant of one shape can share it.  The
-analysis then compiles the host function into a cost program for the
-simulator and prints the tree once into a template.  A shape with no
-kernel, the all-baseline variant's, is analysed the same way: its table
-and cost program are those of the function the program runs, and its
-transfer plan is empty.  The render of one variant gives the shape's
-kernels that variant's flags, plans the transfers and fills the
+the unit, outlines, inlines, resolves, builds the context table and
+finds every transfer point (`context.place`); no other flag reaches it,
+so every variant of one shape can share it.  The analysis then compiles
+the host function into a cost program for the simulator and prints the
+tree once into a template.  A shape with no kernel, the all-baseline
+variant's, is analysed the same way: its table and cost program are
+those of the function that holds the check/fixed blocks, and its
+transfer plan is empty.  The render of one variant applies its flags to
+the shape's transfer points (`build_transfer_plan`) and fills the
 template's holes with the variant's HMPP directives
 (`attach_directives` returns an `Overlay`; the tree itself is never
-changed after its analysis).  Where each transfer prints, and in which
-order, is the plan's schedule, which `context` decides; this module only
-renders it.
+changed after its analysis).  The flags stay with the variant
+(`RenderedVariant.flags`); nothing the shape holds carries them.  Where
+each transfer prints, and in which order, is the plan's schedule, which
+`context` decides; this module only renders it.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .context import (
-    ContextTable, GroupAssignment, LoadPlan, ReleasePlan, SyncPlan,
-    TransferPlan, build_context_table, build_transfer_plan, form_groups,
+    ContextTable, LoadPlan, Placement, ReleasePlan, SyncPlan,
+    TransferPlan, build_context_table, build_transfer_plan, form_groups, place,
 )
 from .cost import CostProgram, compile_costs
 from .errors import SourceError
 from .nodes import SourceUnit
-from .parser import Resolution, resolve
+from .parser import resolve
 from .pragmas import HmppArg, HmppDirective, OmpPragma
 from .printer import (
     Overlay, Template, pragma_text, print_expr, unit_template,
@@ -47,16 +49,17 @@ from .variants import BASELINE, FlagSet, UnitVariant
 @dataclass
 class RenderedVariant:
     """One variant: `source` is its C text with every HMPP directive, and
-    `unit` is its shape's shared tree, which carries none of the
-    variant's codelet, callsite or transfer directives and must not be
-    changed; `resolution` resolves it."""
+    `flags` its flags by block id.  `unit`, `kernels`, `table` and
+    `program` are its shape's, shared with the shape's other variants:
+    they carry none of the variant's flags or directives and must not be
+    changed."""
 
     name: str
     signature_text: str
     filename_sig: str
     source: str
+    flags: dict[int, FlagSet]
     unit: SourceUnit
-    resolution: Resolution
     kernels: list[Kernel]
     plan: TransferPlan
     table: ContextTable
@@ -68,7 +71,7 @@ def _compact(expr) -> str:
     return print_expr(expr).replace(" ", "")
 
 
-def _codelet_directive(k: Kernel, plan: TransferPlan,
+def _codelet_directive(k: Kernel, flags: FlagSet, plan: TransferPlan,
                        table: ContextTable) -> HmppDirective:
     group = plan.group_of.get(k.label)
     args = []
@@ -79,32 +82,35 @@ def _codelet_directive(k: Kernel, plan: TransferPlan,
         if p.reduced:
             a.size = "1"
         else:
-            sym = table.caller(k, p)
-            io = plan.io_override.get((k.label, sym), p.io)
-            if io != "in" or plan.is_mapped(k.label, sym):
-                a.io = io
+            # a mapped symbol is resident, so the codelet only reads it
+            if plan.is_mapped(k.label, table.caller(k, p)):
+                a.io = "in"
+            elif p.io != "in":
+                a.io = p.io
             if p.size_expr is not None:
                 a.size = _compact(p.size_expr)
         if a.io or a.size:
             args.append(a)
-    star = not (k.flags.advancedload or k.flags.delegatedstore or k.flags.group)
+    star = not (flags.advancedload or flags.delegatedstore or flags.group)
     return HmppDirective(kind="codelet", group=group, label=k.label,
                          target=None if group else "CUDA", args=args,
                          star_transfer=star)
 
 
-def _callsite_directive(k: Kernel, plan: TransferPlan) -> HmppDirective:
+def _callsite_directive(k: Kernel, flags: FlagSet,
+                        plan: TransferPlan) -> HmppDirective:
     group = plan.group_of.get(k.label)
     args = [HmppArg(s.name, noupdate=True)
             for s in plan.noupdate.get(k.label, [])]
     return HmppDirective(kind="callsite", group=group, label=k.label,
-                         args=args, asynchronous=k.flags.asynchronous)
+                         args=args, asynchronous=flags.asynchronous)
 
 
-def attach_directives(unit: SourceUnit, kernels: list[Kernel],
+def attach_directives(unit: SourceUnit, flags: dict[int, FlagSet],
                       plan: TransferPlan, table: ContextTable) -> Overlay:
-    """Prints the plan's schedule as an overlay for the unit's template;
-    the tree itself is left unchanged.
+    """Prints the plan's schedule and the codelet and callsite directives
+    of the table's kernels under their `flags` (by block id) as an
+    overlay for the unit's template; the tree itself is left unchanged.
 
     A slot holds the schedule's transfers in its order.  The group
     declarations and mapbyname lead the function's first slot, and a
@@ -121,13 +127,14 @@ def attach_directives(unit: SourceUnit, kernels: list[Kernel],
         first = "before", id(table.fn.body.stmts[0])
         holes[first] = head + holes.get(first, [])
     label_fn = {fn.name: fn for fn in unit.functions}
-    for k in kernels:
+    for k in table.kernels:
+        f = flags[k.block_id]
         codelet_fn = label_fn.get(k.label)
         if codelet_fn is not None:
             holes["codelet", id(codelet_fn)] = [
-                _codelet_directive(k, plan, table)]
+                _codelet_directive(k, f, plan, table)]
         holes.setdefault(("before", id(k.callsite)), []).append(
-            _callsite_directive(k, plan))
+            _callsite_directive(k, f, plan))
     return {hole: pragma_text(directives)
             for hole, directives in holes.items()}
 
@@ -194,16 +201,15 @@ def _dissolve_regions(blocks: list[OmpBlock],
 @dataclass
 class Shape:
     """The analysis every variant of one program shape shares: the
-    outlined, inlined tree and its resolution, its kernels (with the
-    flags of the variant that was analysed first), the context table, the
-    groups and the scope diagnostics, and what the tree compiles to: the
-    host function's cost program and the printed text's template."""
+    outlined, inlined tree, its kernels, the context table, the transfer
+    points and the scope diagnostics, and what the tree compiles to: the
+    host function's cost program and the printed text's template.  No
+    flag of a variant is kept here."""
 
     unit: SourceUnit
-    resolution: Resolution
     kernels: list[Kernel]
     table: ContextTable
-    groups: dict[int, GroupAssignment]
+    placement: Placement
     diagnostics: list[str]
     program: CostProgram
     template: Template
@@ -223,8 +229,9 @@ def _shape_key(uv: UnitVariant, extra_inline: "tuple[str, ...] | str"):
 def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
                    extra_inline: "tuple[str, ...] | str") -> Shape:
     """Outlines the non-baseline blocks of a copy of `unit`, inlines,
-    builds the context table and compiles the cost program; with no
-    kernels the table and the program are the host function's.
+    builds the context table, places the transfers and compiles the cost
+    program; with no kernels the table and the program are the host
+    function's.
 
     The copy is resolved twice: before outlining (shared by the group
     probe and every block's outlining) and after the codelets are in
@@ -238,8 +245,7 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
     groups = form_groups(work, blocks, flags_by_block, res)
     kernels: list[Kernel] = []
     for b in blocks:
-        flags = flags_by_block.get(b.block_id, BASELINE)
-        if flags.baseline:
+        if flags_by_block.get(b.block_id, BASELINE).baseline:
             continue
         if b.region is not None:
             tag = str(b.region.line)
@@ -247,7 +253,7 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
             tag = str(groups[b.block_id].anchor_line)
         else:
             tag = ""
-        kernels.append(outline_block(work, b, flags, tag, res))
+        kernels.append(outline_block(work, b, tag, res))
     _dissolve_regions(blocks, flags_by_block)
 
     insert_codelets(work, kernels)
@@ -258,10 +264,10 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
         if targets:
             inline_calls_in_place(work, targets)
     res = resolve(work)
-    table = build_context_table(work, kernels, res)
+    table = build_context_table(work, kernels, res, blocks)
     for k in kernels:
         diagnostics.extend(check_global_scope(k.codelet, res))
-    return Shape(work, res, kernels, table, groups, diagnostics,
+    return Shape(work, kernels, table, place(table, groups), diagnostics,
                  compile_costs(work, table, res), unit_template(work))
 
 
@@ -286,16 +292,13 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
     shape = shapes[key]
     if isinstance(shape, SourceError):
         raise shape.with_traceback(None)
-    kernels = [replace(k, flags=flags_by_block[k.block_id])
-               for k in shape.kernels]
-    table = replace(shape.table, kernels=kernels)
-    plan = build_transfer_plan(shape.unit, table, shape.groups)
-    overlay = attach_directives(shape.unit, kernels, plan, table)
+    plan = build_transfer_plan(shape.table, shape.placement, flags_by_block)
+    overlay = attach_directives(shape.unit, flags_by_block, plan, shape.table)
     return RenderedVariant(
         name=uv.name, signature_text=uv.signature_text,
         filename_sig=uv.filename_sig, source=shape.template.fill(overlay),
-        unit=shape.unit, resolution=shape.resolution, kernels=kernels,
-        plan=plan, table=table, program=shape.program,
+        flags=flags_by_block, unit=shape.unit, kernels=shape.kernels,
+        plan=plan, table=shape.table, program=shape.program,
         diagnostics=shape.diagnostics + plan.diagnostics)
 
 

@@ -8,10 +8,11 @@ structure through a deterministic closed-form cost model.  The replay
 runs the cost program its shape compiled once (`cost.CostProgram`: each
 statement's CPU accesses and op charges, folded loop trips and kernel op
 counts) against the variant's schedule, the transfers in the slots and
-order in which the variant prints them, and its kernel flags.  The
-all-baseline variant replays the same way, with no callsite and an empty
-schedule, so every variant is costed by one model.  Being deterministic,
-a simulated variant records one sample.
+order in which the variant prints them, and its flags.  The
+all-baseline variant replays the same way, over the function that holds
+the check/fixed blocks, with no callsite and an empty schedule, so every
+variant is costed by one model.  Being deterministic, a simulated
+variant records one sample.
 
 The simulator counts *logical* whole-object transfers: an upload is
 charged only when the host copy changed since the last upload of that
@@ -197,7 +198,7 @@ _REPLAY_COUNTERS = ("t_cpu", "t_gpu", "launches", "gpu_ops", "cpu_ops",
 
 class _Replay:
     """Runs the shape's cost program with one variant's schedule and
-    kernel flags."""
+    flags (`rv.flags`, by block id)."""
 
     def __init__(self, rv: RenderedVariant, params: CostModelParams):
         program: CostProgram = rv.program
@@ -218,6 +219,7 @@ class _Replay:
         planned_stores = {(s.label, s.symbol) for s in plan.stores}
         # per kernel: its scope, (symbol, upload, read) of each parameter,
         # the symbols it writes and those its callsite downloads
+        self.flags = rv.flags
         self.calls = []
         for k, cost in zip(rv.kernels, program.kernels):
             label = k.label
@@ -231,7 +233,7 @@ class _Replay:
                 writes.append(sym)
                 if mapped or noup:
                     continue  # an explicit store moves it when needed
-                if not reduced and k.flags.delegatedstore \
+                if not reduced and self.flags[k.block_id].delegatedstore \
                         and (label, sym) in planned_stores:
                     continue  # far store planned instead of the auto copy
                 downloads.append(sym)
@@ -353,7 +355,7 @@ class _Replay:
         self.t_gpu += span
         for sym in writes:
             self.res.gpu_write(scope, sym)
-        if k.flags.asynchronous:
+        if self.flags[k.block_id].asynchronous:
             self.pending_async[k.label] = {
                 "span": span, "cpu_since": 0.0, "downloads": downloads}
         else:

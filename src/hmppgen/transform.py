@@ -21,7 +21,6 @@ from .nodes import (
 )
 from .parser import MAX_NESTING, Resolution, stmt_nesting
 from .pragmas import HmppDirective, OmpPragma
-from .variants import FlagSet
 
 # Callable from accelerator code without inlining (CUDA provides them).
 MATH_BUILTINS = frozenset({
@@ -369,7 +368,6 @@ class Kernel:
     label: str
     block_id: int
     line: int
-    flags: FlagSet
     codelet: CodeletDef
     callsite: CallsiteStmt
     fn_name: str
@@ -383,8 +381,8 @@ def codelet_label(fn_name: str, line: int, tag: str) -> str:
     return "_instr_for%s_ol_%d_%s" % (tag, line, fn_name)
 
 
-def outline_block(unit: SourceUnit, block: OmpBlock, flags: FlagSet,
-                  tag: str, res: Resolution) -> Kernel:
+def outline_block(unit: SourceUnit, block: OmpBlock, tag: str,
+                  res: Resolution) -> Kernel:
     """Rewrites `unit` in place: the block's loop nest moves verbatim (the
     same statement object, its pragmas dropped) into a fresh codelet
     function and a callsite takes its place, so callers that need the
@@ -431,7 +429,7 @@ def outline_block(unit: SourceUnit, block: OmpBlock, flags: FlagSet,
                         else Name(p.name) for p in params]
     callsite = CallsiteStmt(label=label, args=args, line=block.line)
     _replace_stmt(block.fn, block.stmt, callsite, unit)
-    return Kernel(label, block.block_id, block.line, flags, codelet, callsite,
+    return Kernel(label, block.block_id, block.line, codelet, callsite,
                   block.fn.name)
 
 
@@ -552,7 +550,6 @@ class _InlineState:
         self.fn_map = {f.name: f for f in unit.functions}
         self.counter = 0
         self.report = InlineReport()
-        self.active: list[str] = []
 
     def next_index(self) -> int:
         y = self.counter
@@ -561,11 +558,11 @@ class _InlineState:
 
 
 def _check_acyclic(unit: SourceUnit, targets: set[str]):
-    fn_map = {f.name: f for f in unit.functions}
-    edges = {}
-    for name in targets:
-        edges[name] = {call.func for _, call in _calls(fn_map[name].body)
-                       if call.func in targets}
+    """Rejects a call cycle among the targets; functions and calls are
+    visited in unit order, so the diagnostic names the same function."""
+    edges = {f.name: [call.func for _, call in _calls(f.body)
+                      if call.func in targets]
+             for f in unit.functions if f.name in targets}
     state: dict[str, int] = {}
 
     def dfs(n):
@@ -577,7 +574,7 @@ def _check_acyclic(unit: SourceUnit, targets: set[str]):
                 dfs(m)
         state[n] = 2
 
-    for n in targets:
+    for n in edges:
         if state.get(n, 0) == 0:
             dfs(n)
 
@@ -643,8 +640,6 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
     variable when the result is captured."""
     y = state.next_index()
     fn = state.fn_map[call.func]
-    if call.func in state.active:
-        raise TransformError("recursive function %r cannot be inlined" % call.func)
     if len(call.args) != len(fn.params):
         raise TransformError(
             "call to %r passes %d arguments, expected %d"
@@ -708,9 +703,7 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
             result_type = None
 
     _check_nesting(out + [body], level, fn.name, at, state.unit)
-    state.active.append(fn.name)
     _inline_block(body, state, level + 1)
-    state.active.pop()
     state.report.call_indices.append((fn.name, y))
     if fn.name not in state.report.inlined:
         state.report.inlined.append(fn.name)

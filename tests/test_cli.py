@@ -6,8 +6,12 @@ import sys
 import pytest
 
 from hmppgen.cli import main
-from hmppgen.parser import MAX_NESTING, parse_translation_unit, stmt_nesting
+from hmppgen.emit import build_variant
+from hmppgen.parser import (
+    MAX_NESTING, parse_file, parse_translation_unit, stmt_nesting,
+)
 from hmppgen.report import parse_csv
+from hmppgen.variants import UnitVariant
 
 from conftest import DATA, cc_run, load
 
@@ -105,6 +109,40 @@ int main() {
     assert "recursive" in err
 
 
+def test_transform_mutual_recursion_names_one_function(tmp_path):
+    # the cycle check visits functions in unit order, so whatever the
+    # hash seed it reaches `a` first and reports it
+    src = tmp_path / "mutual.c"
+    src.write_text("""int printf(const char *, ...);
+int b(int n);
+int a(int n) {
+    int r = b(n - 1) + 1;
+    return r;
+}
+int b(int n) {
+    int r = a(n - 1) + 1;
+    return r;
+}
+int main() {
+    int x = a(3);
+    printf("%d\\n", x);
+    return 0;
+}
+""")
+    errors = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=str(DATA.parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hmppgen.cli", "transform", str(src),
+             "--out", str(tmp_path / "o"), "--inline", "all"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        errors.add(proc.stderr)
+    assert len(errors) == 1
+    assert "recursive function 'a' cannot be inlined" in errors.pop()
+
+
 def test_transform_nested_check_blocks_fail_with_a_diagnostic(tmp_path,
                                                                capsys):
     # outlining the outer block would move the inner one into its codelet
@@ -170,6 +208,22 @@ def test_transform_dump_analysis_without_kernels(tmp_path, capsys):
     assert all(re.fullmatch(r"event \S+ (read|write|addr) CPU site=\d+ "
                             r"loops=\[\]", line) for line in events)
     assert "event l write CPU site=27 loops=[]" in events
+
+
+def test_transform_dump_analysis_names_each_symbol_once(tmp_path, capsys):
+    # both inlined copies of g declare `r` on line 4 (and `c`, `ret` on
+    # lines 5 and 7), yet no two of the table's symbols share a name
+    dump = tmp_path / "analysis.txt"
+    code, out, err = run_cli(["transform", DATA / "inline_run.c",
+                              "--out", tmp_path / "o", "--inline", "all",
+                              "--dump-analysis", dump], capsys)
+    assert code == 0
+    names = {line.split()[1] for line in dump.read_text().splitlines()
+             if line.startswith("event ")}
+    rv = build_variant(parse_file(DATA / "inline_run.c"),
+                       UnitVariant("transformed", (), ()), extra_inline="all")
+    assert len(names) == len(rv.table.events) == 22
+    assert {"r@4#1", "r@4#2", "c@5#1", "c@5#2"} <= names
 
 
 def test_transform_inlines_a_unit_without_functions(tmp_path, capsys):

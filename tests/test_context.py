@@ -249,10 +249,21 @@ def test_table5_release_after_final_use():
 
 
 def test_table5_mapped_io_override():
-    unit, kernels, table, plan = table5_plan()
-    for label in ("_instr_for12_ol_12_main", "_instr_for12_ol_17_main"):
-        assert plan.io_override[(label, symbol(table, "myTable"))] == "in"
-        assert plan.io_override[(label, symbol(table, "myTableOut"))] == "in"
+    # the first codelet writes myTableOut, but grouped both arrays are
+    # mapped, so resident: each codelet directive prints them as io=in
+    def codelet_lines(flags):
+        rv = build_variant(parse_fixture("table5.c"), UnitVariant("test", (
+            VariantPlan.of(1, flags), VariantPlan.of(2, flags)), (0, 1)))
+        return [line for line in rv.source.splitlines()
+                if " codelet, " in line]
+
+    first, second = codelet_lines(decode_signature(Signature((11, 3, 0))))
+    assert first.endswith("_ol_12_main codelet, "
+                          "args[myTable, myTableOut].io=in")
+    assert "_ol_17_main codelet, args[myTableOut, myTable].io=in" in second
+    first, _ = codelet_lines(FlagSet())
+    assert "_ol_12_main codelet, target=CUDA, args[myTableOut].io=out" \
+        in first
 
 
 def test_minimality_one_load_one_store_per_grouped_symbol():

@@ -340,10 +340,12 @@ def test_explore_analyses_each_shape_once(tmp_path, monkeypatch):
 
 def test_a_shape_is_walked_once_for_all_its_variants(monkeypatch):
     # once each table5.c shape is analysed, rendering and simulating the
-    # rest of its variants walks no statement tree: no statement printing,
-    # no op counting, no trip or size folding
+    # rest of its variants walks no statement tree and makes no placement
+    # query: no statement printing, no op counting, no trip or size
+    # folding, no search of the table's events for a transfer point
     walkers = ("stmt_own_ops", "expr_ops", "loop_trips", "fold_expr",
-               "walk_exprs")
+               "walk_exprs", "load_point", "first_cpu_read_site",
+               "last_cpu_write_site", "address_disabled")
     modules = [importlib.import_module("hmppgen." + m.name)
                for m in pkgutil.iter_modules(hmppgen.__path__)]
     calls = Counter()
@@ -553,6 +555,29 @@ RESIZED_ARRAY = """int main() {
 """
 
 
+# the check block sits in `compute`, and main runs 1,000 trips before it
+BLOCK_IN_HELPER = """int printf(const char *, ...);
+void compute(double A[64]) {
+    int i;
+    #pragma omp parallel for check
+    for (i = 0; i < 64; i++) {
+        A[i] = A[i] * 2.0 + 1.0;
+    }
+}
+int main() {
+    double A[64];
+    int t;
+    double s = 0;
+    for (t = 0; t < 1000; t++) {
+        s = s + 1;
+    }
+    compute(A);
+    printf("%g %g\\n", s, A[3]);
+    return 0;
+}
+"""
+
+
 @pytest.mark.parametrize("src, sig, cpu_ops, gpu_ops, d2h_bytes", [
     # a loop's init is charged once per entry: the inner `j = 0` 4 times,
     # 1 + 4 * (cond 1 + update 1 + (1 + 8 * (1 + 1 + `A[i][j] = 0.0` 3)))
@@ -578,11 +603,16 @@ RESIZED_ARRAY = """int main() {
     # in the kernel
     (RESIZED_ARRAY, (0, 0, 0), 1 + 25, 0, 0),
     (RESIZED_ARRAY, (0, 0, 1), 1, 25, 64 * 8),
+    # the baseline is costed over `compute`, as its variants are, not over
+    # main's loop: 1 + 64 * (1 + 1 + `A[i] = A[i] * 2.0 + 1.0` 5)
+    (BLOCK_IN_HELPER, (0, 0, 0), 449, 0, 0),
+    (BLOCK_IN_HELPER, (0, 0, 1), 0, 449, 64 * 8),
 ], ids=["nested-for-baseline", "nested-for-kernel", "assigned-while-baseline",
         "assigned-while-kernel", "helper-in-loop-baseline",
         "helper-in-loop-kernel", "helper-in-decl-baseline",
         "helper-in-decl-kernel", "resized-array-baseline",
-        "resized-array-kernel"])
+        "resized-array-kernel", "block-in-helper-baseline",
+        "block-in-helper-kernel"])
 def test_ops_match_hand_counts(src, sig, cpu_ops, gpu_ops, d2h_bytes):
     uv = UnitVariant("v", (VariantPlan.of(
         1, decode_signature(Signature(sig))),), (0,))

@@ -76,7 +76,7 @@ def test_placement_dominance(name, eligible):
 
 def test_conflicting_flags_rejected_by_planner():
     from hmppgen.context import build_context_table, build_transfer_plan, \
-        form_groups
+        place
     from hmppgen.parser import resolve
     from hmppgen.transform import insert_codelets, outline_block
     import copy
@@ -84,8 +84,8 @@ def test_conflicting_flags_rejected_by_planner():
     work = copy.deepcopy(unit)
     block = find_omp_blocks(work)[0]
     bad = FlagSet(noupdate=True)  # noupdate without any load
-    kernel = outline_block(work, block, bad, "", resolve(work))
+    kernel = outline_block(work, block, "", resolve(work))
     insert_codelets(work, [kernel])
     table = build_context_table(work, [kernel], resolve(work))
     with pytest.raises(PlanError):
-        build_transfer_plan(work, table, {})
+        build_transfer_plan(table, place(table, {}), {block.block_id: bad})

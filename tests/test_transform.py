@@ -11,7 +11,6 @@ from hmppgen.transform import (
     check_global_scope, find_omp_blocks, gridify_spec, insert_codelets,
     outline_block,
 )
-from hmppgen.variants import FlagSet
 
 from conftest import DATA, load, parse_fixture
 
@@ -19,7 +18,7 @@ from conftest import DATA, load, parse_fixture
 def outlined(name, tag=""):
     unit = copy.deepcopy(parse_fixture(name))
     block = find_omp_blocks(unit)[0]
-    kernel = outline_block(unit, block, FlagSet(), tag, resolve(unit))
+    kernel = outline_block(unit, block, tag, resolve(unit))
     return unit, kernel
 
 
@@ -117,7 +116,7 @@ def test_table1_callsite_matches_params():
 def test_outline_moves_the_loop():
     unit = copy.deepcopy(parse_fixture("table1.c"))
     block = find_omp_blocks(unit)[0]
-    k = outline_block(unit, block, FlagSet(), "", resolve(unit))
+    k = outline_block(unit, block, "", resolve(unit))
     assert k.codelet.loop is block.stmt
 
 
@@ -152,8 +151,7 @@ def test_minimal_free_variable_set():
 }
 """
     unit = parse_translation_unit(src)
-    k = outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
-                      resolve(unit))
+    k = outline_block(unit, find_omp_blocks(unit)[0], "", resolve(unit))
     assert [p.name for p in k.codelet.params] == ["y", "x"]
     assert {p.io for p in k.codelet.params} == {"out", "by-value-scalar"}
 
@@ -169,8 +167,7 @@ def test_block_with_no_free_variables():
 }
 """
     unit = parse_translation_unit(src)
-    k = outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
-                      resolve(unit))
+    k = outline_block(unit, find_omp_blocks(unit)[0], "", resolve(unit))
     assert k.codelet.params == []
     assert k.callsite.args == []
 
@@ -195,7 +192,7 @@ def test_io_out_against_scan_oracle():
     writes = len(re.findall(r"\bout\s*\[[^]]*\]\s*=[^=]", body_text))
     reads = len(re.findall(r"[^[\w]out\s*\[[^]]*\](?!\s*=[^=])", body_text))
     assert writes > 0 and reads == 0
-    k = outline_block(unit, block, FlagSet(), "", resolve(unit))
+    k = outline_block(unit, block, "", resolve(unit))
     assert {p.name: p.io for p in k.codelet.params}["out"] == "out"
 
 
@@ -218,8 +215,7 @@ def test_unknown_dims_is_an_error():
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
-                      resolve(unit))
+        outline_block(unit, find_omp_blocks(unit)[0], "", resolve(unit))
     assert "unknown dimensions" in str(exc.value)
 
 
@@ -237,8 +233,7 @@ def test_scalar_written_in_kernel_and_read_after_is_rejected():
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
-                      resolve(unit))
+        outline_block(unit, find_omp_blocks(unit)[0], "", resolve(unit))
     assert "reduction" in str(exc.value)
 
 
@@ -313,8 +308,7 @@ def test_reduction_of_array_is_rejected():
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
-                      resolve(unit))
+        outline_block(unit, find_omp_blocks(unit)[0], "", resolve(unit))
     assert "scalar" in str(exc.value)
 
 
@@ -333,8 +327,7 @@ int main() {
 """
     unit = parse_translation_unit(src)
     with pytest.raises(TransformError) as exc:
-        outline_block(unit, find_omp_blocks(unit)[0], FlagSet(), "",
-                      resolve(unit))
+        outline_block(unit, find_omp_blocks(unit)[0], "", resolve(unit))
     assert "unknown symbol 'acc'" in str(exc.value)
 
 
