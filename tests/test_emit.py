@@ -52,6 +52,23 @@ def test_table5_golden():
     assert structurally_equal(rv.source, load("table5.golden.c"))
 
 
+def test_outlined_region_block_dissolves_its_region():
+    # region.c: the region pragma at line 8 holds a check block (line 10)
+    # and a plain omp-for loop that survives the outlining
+    rv = build("region.c", {1: (0, 0, 1)})
+    assert "void _instr_for8_ol_10_main(" in rv.source
+    assert "#pragma hmpp _instr_for8_ol_10_main callsite" in rv.source
+    assert "#pragma omp parallel shared" not in rv.source
+    assert "#pragma omp for" not in rv.source
+    assert "#pragma omp parallel for shared(A, B) private(i)\n" \
+        "        for (i = 0; i < n; i++) {\n" \
+        "            A[i] = B[i] + 1.0;" in rv.source
+    # the all-baseline variant keeps the region as written
+    base = build("region.c", {}).source
+    assert "#pragma omp parallel shared(A, B) private(i)\n    {" in base
+    assert "#pragma omp for\n" in base
+
+
 def test_build_variant_resolves_twice(monkeypatch):
     # once before outlining (group probe and every outlining) and once
     # after inlining (context table and scope check), whatever the kernels

@@ -33,6 +33,11 @@ RUNS = [
     ("table5_analysis", "table5.c", ["transform", "--dump-analysis", None]),
     ("inline_run", "inline_run.c", ["transform", "--inline", "all"]),
     ("global_helper", "global_helper.c", ["transform"]),
+    ("table9_analysis", "table9.c",
+     ["transform", "--inline", "all", "--dump-analysis", None]),
+    # a check block and a plain loop in one parallel region, which the
+    # outlined variants dissolve
+    ("region", "region.c", ["explore", "--reps", "1"]),
     # 1,849 variants over 9 shapes: groups, asynchronous and release
     ("table5", "table5.c", ["explore", "--reps", "1", "--cap", "2000"]),
 ]
