@@ -106,11 +106,12 @@ def _callsite_directive(k: Kernel, flags: FlagSet,
                          args=args, asynchronous=flags.asynchronous)
 
 
-def attach_directives(unit: SourceUnit, flags: dict[int, FlagSet],
-                      plan: TransferPlan, table: ContextTable) -> Overlay:
+def attach_directives(flags: dict[int, FlagSet], plan: TransferPlan,
+                      table: ContextTable) -> Overlay:
     """Prints the plan's schedule and the codelet and callsite directives
     of the table's kernels under their `flags` (by block id) as an
-    overlay for the unit's template; the tree itself is left unchanged.
+    overlay for the template of the table's unit; the tree itself is left
+    unchanged.
 
     A slot holds the schedule's transfers in its order.  The group
     declarations and mapbyname lead the function's first slot, and a
@@ -126,13 +127,9 @@ def attach_directives(unit: SourceUnit, flags: dict[int, FlagSet],
                  for gp in plan.groups if gp.mapbyname]
         first = "before", id(table.fn.body.stmts[0])
         holes[first] = head + holes.get(first, [])
-    label_fn = {fn.name: fn for fn in unit.functions}
     for k in table.kernels:
         f = flags[k.block_id]
-        codelet_fn = label_fn.get(k.label)
-        if codelet_fn is not None:
-            holes["codelet", id(codelet_fn)] = [
-                _codelet_directive(k, f, plan, table)]
+        holes["codelet", id(k.codelet)] = [_codelet_directive(k, f, plan, table)]
         holes.setdefault(("before", id(k.callsite)), []).append(
             _callsite_directive(k, f, plan))
     return {hole: pragma_text(directives)
@@ -293,7 +290,7 @@ def build_variant(unit: SourceUnit, uv: UnitVariant,
     if isinstance(shape, SourceError):
         raise shape.with_traceback(None)
     plan = build_transfer_plan(shape.table, shape.placement, flags_by_block)
-    overlay = attach_directives(shape.unit, flags_by_block, plan, shape.table)
+    overlay = attach_directives(flags_by_block, plan, shape.table)
     return RenderedVariant(
         name=uv.name, signature_text=uv.signature_text,
         filename_sig=uv.filename_sig, source=shape.template.fill(overlay),

@@ -3,6 +3,11 @@
 Statements carry the pragmas that precede them; a Block additionally
 keeps trailing accelerator pragmas so transfer directives can land after
 its last statement.
+
+The expression fields of each node kind are listed once, in textual
+order: `walk_exprs` and `replace_exprs` read the expressions' list, and
+`stmt_exprs` and `rewrite_stmt_exprs` the statements' (a declaration's
+are each declarator's dims, then its initializer).
 """
 
 from __future__ import annotations
@@ -307,27 +312,42 @@ def replace_exprs(e: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
     return e
 
 
+# the expression fields of each statement kind, in textual order; a field
+# holds an expression, None or a list of expressions (a for loop's
+# declaration is a child statement, not an expression), and a
+# declaration's fields are those of each of its declarators
+_STMT_EXPR_FIELDS = {ExprStmt: ("expr",), Return: ("value",),
+                     For: ("init", "cond", "update"), While: ("cond",),
+                     If: ("cond",), CallsiteStmt: ("args",),
+                     VarDecl: ("dims", "init")}
+
+
+def _expr_fields(stmt: Stmt) -> Iterator[tuple[object, str]]:
+    """(node, field name) of each expression field one statement owns."""
+    for node in stmt.decls if isinstance(stmt, DeclStmt) else (stmt,):
+        for name in _STMT_EXPR_FIELDS.get(type(node), ()):
+            yield node, name
+
+
 def stmt_exprs(stmt: Stmt) -> list[Expr]:
-    """Top-level expressions owned directly by one statement."""
+    """Top-level expressions owned directly by one statement, in textual
+    order."""
     out = []
-    if isinstance(stmt, DeclStmt):
-        out.extend(d.init for d in stmt.decls if d.init is not None)
-        for d in stmt.decls:
-            out.extend(d.dims)
-    elif isinstance(stmt, ExprStmt):
-        out.append(stmt.expr)
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        out.append(stmt.value)
-    elif isinstance(stmt, For):
-        if isinstance(stmt.init, Expr):
-            out.append(stmt.init)
-        for e in (stmt.cond, stmt.update):
-            if e is not None:
-                out.append(e)
-    elif isinstance(stmt, While):
-        out.append(stmt.cond)
-    elif isinstance(stmt, If):
-        out.append(stmt.cond)
-    elif isinstance(stmt, CallsiteStmt):
-        out.extend(stmt.args)
+    for node, name in _expr_fields(stmt):
+        value = getattr(node, name)
+        if isinstance(value, list):
+            out.extend(value)
+        elif isinstance(value, Expr):
+            out.append(value)
     return out
+
+
+def rewrite_stmt_exprs(stmt: Stmt, fn: Callable[[Expr], Optional[Expr]]):
+    """`replace_exprs` over every expression one statement owns, in
+    place."""
+    for node, name in _expr_fields(stmt):
+        value = getattr(node, name)
+        if isinstance(value, list):
+            setattr(node, name, [replace_exprs(e, fn) for e in value])
+        elif isinstance(value, Expr):
+            setattr(node, name, replace_exprs(value, fn))

@@ -195,7 +195,6 @@ class HmppArg:
     size: Optional[str] = None  # rendered size expression, e.g. "(row*col)" or "1"
     addr: Optional[str] = None  # quoted address expression, without quotes
     noupdate: bool = False
-    transfer: Optional[str] = None  # "auto"
 
 
 @dataclass
@@ -419,12 +418,12 @@ def _parse_props(cur: _Cursor, d: HmppDirective):
                 for n in names:
                     arg(n).noupdate = v == "true"
             elif prop == "transfer":
-                v = cur.next()
+                cur.next()  # a per-argument transfer value is not kept
                 if star:
                     d.star_transfer = True
                 else:
                     for n in names:
-                        arg(n).transfer = v
+                        arg(n)
             else:
                 cur.fail("unknown args property %r" % prop)
         else:

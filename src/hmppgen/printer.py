@@ -75,9 +75,9 @@ def print_param(p: Param) -> str:
 
 
 def pragma_text(pragmas) -> str:
-    """The lines of pragmas or directives, each ending in a newline."""
-    return "".join(line + "\n" for p in pragmas
-                   for line in p.render().splitlines())
+    """The lines of pragmas or directives, each ending in a newline (a
+    rendered pragma has no trailing line break)."""
+    return "".join(p.render() + "\n" for p in pragmas)
 
 
 class Template:
@@ -208,5 +208,5 @@ def unit_template(unit: SourceUnit) -> Template:
     return _Printer().unit(unit)
 
 
-def print_unit(unit: SourceUnit, overlay: Overlay | None = None) -> str:
-    return unit_template(unit).fill(overlay)
+def print_unit(unit: SourceUnit) -> str:
+    return unit_template(unit).fill()

@@ -1,9 +1,13 @@
 """Outline and inline phases.
 
 Outlining moves an annotated loop nest verbatim into a fresh accelerator
-function and leaves a call in its place; inlining substitutes callee
-bodies into call sites with freshly named parameter copies so kernel
-bodies end up call-free (math builtins excepted).
+function and leaves a call in its place.  That codelet is a plain
+`FunctionDef`, the same object `insert_codelets` places in the unit, so
+the tree holds the one copy of it.  Inlining substitutes callee bodies
+into call sites with freshly named parameter copies so kernel bodies end
+up call-free (math builtins excepted); it rewrites the unit and keeps no
+record beside it.  Every diagnostic names the file, and the line where
+the source has one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .nodes import (
     Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
     FunctionDef, GlobalDecl, If, Index, Name, Num, Param, Paren, Return,
     SourceUnit, Stmt, Str, Symbol, Unary, VarDecl, While, child_stmts,
-    replace_exprs, stmt_exprs, walk_exprs, walk_stmts,
+    replace_exprs, rewrite_stmt_exprs, stmt_exprs, walk_exprs, walk_stmts,
 )
 from .parser import MAX_NESTING, Resolution, stmt_nesting
 from .pragmas import HmppDirective, OmpPragma
@@ -218,13 +222,6 @@ def _lvalue(target: Expr) -> tuple[Expr, list[Expr]]:
 def stmt_accesses(stmt: Stmt, res: Resolution) -> list[Access]:
     """Accesses of one statement, not descending into child statements."""
     out: list[Access] = []
-    if isinstance(stmt, DeclStmt):
-        for d in stmt.decls:
-            for dim in d.dims:
-                expr_accesses(dim, res, out)
-            if d.init is not None:
-                expr_accesses(d.init, res, out)
-        return out
     for e in stmt_exprs(stmt):
         expr_accesses(e, res, out)
     return out
@@ -350,25 +347,14 @@ def gridify_spec(block_stmt: Stmt,
 
 
 @dataclass
-class CodeletDef:
-    label: str
-    fn_name: str
-    params: list[Param]
-    body: Block
-    loop: Stmt
-    gridify: list[str]
-    target: str = "CUDA"
-    line: int = 0
-
-
-@dataclass
 class Kernel:
-    """One outlined block: its codelet, callsite and bookkeeping."""
+    """One outlined block: its codelet (the function named `label`), the
+    callsite that replaced the block in function `fn_name`, and the
+    block's id."""
 
     label: str
     block_id: int
-    line: int
-    codelet: CodeletDef
+    codelet: FunctionDef
     callsite: CallsiteStmt
     fn_name: str
 
@@ -423,14 +409,12 @@ def outline_block(unit: SourceUnit, block: OmpBlock, tag: str,
         body.stmts.append(ExprStmt(
             Assign("=", Unary("*", Name(var + "_reduced")), Name(var))))
 
-    codelet = CodeletDef(label, block.fn.name, params, body, loop, grid,
-                         line=block.line)
+    codelet = FunctionDef(label, "void", params, body, line=block.line)
     args: list[Expr] = [Unary("&", Name(sym.name)) if p.reduced
                         else Name(p.name) for p in params]
     callsite = CallsiteStmt(label=label, args=args, line=block.line)
     _replace_stmt(block.fn, block.stmt, callsite, unit)
-    return Kernel(label, block.block_id, block.line, codelet, callsite,
-                  block.fn.name)
+    return Kernel(label, block.block_id, codelet, callsite, block.fn.name)
 
 
 def _check_scalar_liveness(unit: SourceUnit, block: OmpBlock,
@@ -489,21 +473,17 @@ def _replace_stmt(fn: FunctionDef, old: Stmt, new: Stmt, unit: SourceUnit):
 
 
 def insert_codelets(unit: SourceUnit, kernels: list[Kernel]):
-    """Places codelet function definitions ahead of the function that calls
-    them, in kernel order."""
+    """Places the codelets ahead of the function that calls them, in kernel
+    order."""
     for fn in unit.functions:
-        ks = [k for k in kernels if k.fn_name == fn.name]
-        if not ks:
-            continue
         at = unit.items.index(fn)
-        for k in ks:
-            fdef = FunctionDef(k.label, "void", k.codelet.params,
-                               k.codelet.body, line=k.line)
-            unit.items.insert(at, fdef)
-            at += 1
+        for k in kernels:
+            if k.fn_name == fn.name:
+                unit.items.insert(at, k.codelet)
+                at += 1
 
 
-def check_global_scope(codelet: CodeletDef, res: Resolution) -> list[str]:
+def check_global_scope(codelet: FunctionDef, res: Resolution) -> list[str]:
     """Diagnostics for identifiers in the codelet body that resolve to a
     global rather than to a parameter or a body-local declaration, and for
     calls left un-inlined; `res` resolves the unit the codelet is in."""
@@ -515,10 +495,10 @@ def check_global_scope(codelet: CodeletDef, res: Resolution) -> list[str]:
                         and res.symbol_of(node).storage == "global"):
                     diags.append("codelet %s: identifier %r does not resolve "
                                  "to a parameter or local"
-                                 % (codelet.label, node.ident))
+                                 % (codelet.name, node.ident))
                 elif isinstance(node, Call) and node.func not in MATH_BUILTINS:
                     diags.append("codelet %s: un-inlinable call to %r"
-                                 % (codelet.label, node.func))
+                                 % (codelet.name, node.func))
     return diags
 
 
@@ -536,40 +516,40 @@ def _calls(root: Stmt) -> Iterator[tuple[Stmt, Call]]:
                     yield stmt, node
 
 
-@dataclass
-class InlineReport:
-    inlined: list[str] = field(default_factory=list)
-    call_indices: list[tuple[str, int]] = field(default_factory=list)
-    markers: list[str] = field(default_factory=list)
-
-
 class _InlineState:
     def __init__(self, unit: SourceUnit, targets: set[str]):
         self.unit = unit
         self.targets = targets
         self.fn_map = {f.name: f for f in unit.functions}
         self.counter = 0
-        self.report = InlineReport()
 
     def next_index(self) -> int:
         y = self.counter
         self.counter += 1
         return y
 
+    def error(self, message: str, at: Stmt) -> TransformError:
+        """A diagnostic at the line of statement `at`, when it has one."""
+        return TransformError(message, at.line or None, None,
+                              self.unit.filename)
+
 
 def _check_acyclic(unit: SourceUnit, targets: set[str]):
-    """Rejects a call cycle among the targets; functions and calls are
-    visited in unit order, so the diagnostic names the same function."""
-    edges = {f.name: [call.func for _, call in _calls(f.body)
+    """Rejects a call cycle among the targets at the call that closes it;
+    functions and calls are visited in unit order, so the diagnostic
+    names the same function."""
+    edges = {f.name: [(call.func, stmt.line) for stmt, call in _calls(f.body)
                       if call.func in targets]
              for f in unit.functions if f.name in targets}
     state: dict[str, int] = {}
 
     def dfs(n):
         state[n] = 1
-        for m in edges.get(n, ()):
+        for m, line in edges.get(n, ()):
             if state.get(m) == 1:
-                raise TransformError("recursive function %r cannot be inlined" % m)
+                raise TransformError("recursive function %r cannot be "
+                                     "inlined" % m, line or None, None,
+                                     unit.filename)
             if state.get(m, 0) == 0:
                 dfs(m)
         state[n] = 2
@@ -580,17 +560,9 @@ def _check_acyclic(unit: SourceUnit, targets: set[str]):
 
 
 def _rename_uses(block: Block, mapping: dict[str, tuple[str, bool]],
-                 fname: str):
-    """Renames parameter uses; reference parameters become pointer derefs."""
-    for stmt in walk_stmts(block):
-        if isinstance(stmt, DeclStmt) or (isinstance(stmt, For) and
-                                          isinstance(stmt.init, DeclStmt)):
-            decls = stmt.decls if isinstance(stmt, DeclStmt) else stmt.init.decls
-            for d in decls:
-                if d.name in mapping:
-                    raise TransformError(
-                        "local %r in %r shadows a parameter; cannot inline"
-                        % (d.name, fname))
+                 fname: str, state: _InlineState):
+    """Renames parameter uses; reference parameters become pointer derefs.
+    A local that shadows a parameter is an error at its declaration."""
 
     def renamed(e: Expr) -> Optional[Expr]:
         if isinstance(e, Name) and e.ident in mapping:
@@ -598,30 +570,13 @@ def _rename_uses(block: Block, mapping: dict[str, tuple[str, bool]],
             return Unary("*", Name(new)) if is_ref else Name(new)
         return None
 
-    def rewrite(e: Expr) -> Expr:
-        return replace_exprs(e, renamed)
-
     for stmt in walk_stmts(block):
         if isinstance(stmt, DeclStmt):
             for d in stmt.decls:
-                if d.init is not None:
-                    d.init = rewrite(d.init)
-                d.dims = [rewrite(x) for x in d.dims]
-        elif isinstance(stmt, ExprStmt):
-            stmt.expr = rewrite(stmt.expr)
-        elif isinstance(stmt, Return) and stmt.value is not None:
-            stmt.value = rewrite(stmt.value)
-        elif isinstance(stmt, For):
-            if isinstance(stmt.init, Expr):
-                stmt.init = rewrite(stmt.init)
-            if stmt.cond is not None:
-                stmt.cond = rewrite(stmt.cond)
-            if stmt.update is not None:
-                stmt.update = rewrite(stmt.update)
-        elif isinstance(stmt, While):
-            stmt.cond = rewrite(stmt.cond)
-        elif isinstance(stmt, If):
-            stmt.cond = rewrite(stmt.cond)
+                if d.name in mapping:
+                    raise state.error("local %r in %r shadows a parameter; "
+                                      "cannot inline" % (d.name, fname), stmt)
+        rewrite_stmt_exprs(stmt, renamed)
 
 
 def _find_local_ret(body: Block) -> Optional[VarDecl]:
@@ -641,18 +596,16 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
     y = state.next_index()
     fn = state.fn_map[call.func]
     if len(call.args) != len(fn.params):
-        raise TransformError(
-            "call to %r passes %d arguments, expected %d"
-            % (call.func, len(call.args), len(fn.params)))
+        raise state.error("call to %r passes %d arguments, expected %d"
+                          % (call.func, len(call.args), len(fn.params)), at)
     out: list[Stmt] = []
     mapping: dict[str, tuple[str, bool]] = {}
     for x, (p, arg) in enumerate(zip(fn.params, call.args)):
         pname = "_p_%d_%s_%d" % (x, fn.name, y)
         if p.reference:
             if not _is_addressable(arg):
-                raise TransformError(
-                    "argument %d of %r must be addressable (reference "
-                    "parameter)" % (x, fn.name))
+                raise state.error("argument %d of %r must be addressable "
+                                  "(reference parameter)" % (x, fn.name), at)
             out.append(DeclStmt([VarDecl(pname, p.elem_type, init=Unary("&", arg),
                                          pointer=True)], p.elem_type))
         else:
@@ -665,15 +618,15 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
     _check_nesting([fn.body], level, fn.name, at, state.unit)
     body = copy.deepcopy(fn.body)
     body.pragmas = []
-    _rename_uses(body, mapping, fn.name)
+    _rename_uses(body, mapping, fn.name, state)
 
     ret_name = "ret_%s%d" % (fn.name, y)
     return_var = "_return_%d" % y
     returns = [s for s in walk_stmts(body) if isinstance(s, Return)]
     if fn.return_type != "void":
         if len(returns) != 1 or body.stmts[-1] is not returns[0]:
-            raise TransformError(
-                "%r must end in a single tail return to be inlined" % fn.name)
+            raise state.error("%r must end in a single tail return to be "
+                              "inlined" % fn.name, at)
         ret = returns[0]
         body.stmts[-1] = ExprStmt(Assign("=", Name(ret_name),
                                          ret.value if ret.value is not None
@@ -686,13 +639,13 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
         result_type = fn.return_type
     else:
         if returns:
-            raise TransformError("void %r has a return statement; cannot "
-                                 "inline" % fn.name)
+            raise state.error("void %r has a return statement; cannot "
+                              "inline" % fn.name, at)
         local_ret = _find_local_ret(body)
         if capture:
             if local_ret is None:
-                raise TransformError(
-                    "void function %r used in an expression" % fn.name)
+                raise state.error("void function %r used in an expression"
+                                  % fn.name, at)
             body.stmts.append(DeclStmt([VarDecl(ret_name, local_ret.elem_type)],
                                        local_ret.elem_type))
             body.stmts.append(ExprStmt(Assign("=", Name(ret_name), Name("ret"))))
@@ -704,9 +657,6 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
 
     _check_nesting(out + [body], level, fn.name, at, state.unit)
     _inline_block(body, state, level + 1)
-    state.report.call_indices.append((fn.name, y))
-    if fn.name not in state.report.inlined:
-        state.report.inlined.append(fn.name)
 
     if capture:
         out.append(DeclStmt([VarDecl(return_var, result_type)], result_type))
@@ -777,9 +727,8 @@ def _inline_stmt(stmt: Stmt, state: _InlineState, level: int) -> list[Stmt]:
         return out + [stmt]
     for e in stmt_exprs(stmt):
         if _calls_in(e, state.targets):
-            raise TransformError(
-                "call to inlined function in an unsupported position "
-                "(loop header or condition)", stmt.line)
+            raise state.error("call to inlined function in an unsupported "
+                              "position (loop header or condition)", stmt)
     return [stmt]
 
 
@@ -824,7 +773,7 @@ def _inline_block(block: Block, state: _InlineState, level: int):
 
 
 def inline_calls_in_place(unit: SourceUnit,
-                          targets: Iterable[str] | str = "all") -> InlineReport:
+                          targets: Iterable[str] | str = "all"):
     """Inlines the named defined functions (or all of them) into their call
     sites, rewriting `unit`; fully inlined functions are removed and
     announced by a `deletedFunctionBodyNamed_<f>` marker."""
@@ -836,11 +785,19 @@ def inline_calls_in_place(unit: SourceUnit,
         missing = selected - defined
         if missing:
             raise TransformError("cannot inline undefined function(s): %s"
-                                 % ", ".join(sorted(missing)))
+                                 % ", ".join(sorted(missing)),
+                                 filename=unit.filename)
     selected &= {call.func for f in unit.functions
                  for _, call in _calls(f.body)}
     if not selected:
-        return InlineReport()
+        return
+    for f in unit.functions:
+        # a kernel's callsite must stay in the function it was outlined from
+        if f.name in selected and any(isinstance(s, CallsiteStmt)
+                                      for s in walk_stmts(f.body)):
+            raise TransformError("function %r holds an outlined block and "
+                                 "cannot be inlined" % f.name, f.line, None,
+                                 unit.filename)
     _check_acyclic(unit, selected)
     state = _InlineState(unit, selected)
     for f in unit.functions:
@@ -853,14 +810,10 @@ def inline_calls_in_place(unit: SourceUnit,
              if f.name in selected and f.name not in remaining]
     unit.items = [it for it in unit.items
                   if not (isinstance(it, FunctionDef) and it.name in fully)]
-    markers = []
-    for name in fully:
-        marker = "deletedFunctionBodyNamed_%s" % name
-        markers.append(marker)
-        unit.items.insert(len(markers) - 1, GlobalDecl(DeclStmt(
-            [VarDecl(marker, "int", init=Num("1"))], "int")))
-    state.report.markers = markers
-    return state.report
+    for at, name in enumerate(fully):
+        unit.items.insert(at, GlobalDecl(DeclStmt(
+            [VarDecl("deletedFunctionBodyNamed_%s" % name, "int",
+                     init=Num("1"))], "int")))
 
 
 def kernel_path_targets(unit: SourceUnit, kernels: list[Kernel]) -> set[str]:
@@ -875,7 +828,8 @@ def kernel_path_targets(unit: SourceUnit, kernels: list[Kernel]) -> set[str]:
             if call.func not in defined:
                 raise TransformError(
                     "codelet %s calls undeclared function %r, which cannot "
-                    "run on the accelerator" % (k.label, call.func), stmt.line)
+                    "run on the accelerator" % (k.label, call.func),
+                    stmt.line or None, None, unit.filename)
             roots.add(call.func)
     closure = set()
     work = list(roots)

@@ -140,7 +140,86 @@ int main() {
         assert proc.returncode == 1
         errors.add(proc.stderr)
     assert len(errors) == 1
-    assert "recursive function 'a' cannot be inlined" in errors.pop()
+    # at the call in `b` that closes the cycle
+    assert "mutual.c:8: recursive function 'a' cannot be inlined" \
+        in errors.pop()
+
+
+INLINE_ERRORS = {
+    "arity": ("""int f(int a, int b) {
+    return a + b;
+}
+int main() {
+    int x = f(1);
+    return x;
+}
+""", ["--inline", "all"], "arity.c:5: call to 'f' passes 1 arguments, "
+        "expected 2"),
+    "shadow": ("""int f(int a) {
+    int r = 0;
+    for (int a = 0; a < 3; a++) {
+        r = r + a;
+    }
+    return r;
+}
+int main() {
+    int x = f(1);
+    return x;
+}
+""", ["--inline", "all"], "shadow.c:3: local 'a' in 'f' shadows a "
+        "parameter; cannot inline"),
+    "undeclared": ("""int main() {
+    int i;
+    double A[8];
+    #pragma omp parallel for check
+    for (i = 0; i < 8; i++) {
+        A[i] = helper(i);
+    }
+    return 0;
+}
+""", [], "undeclared.c:6: codelet _instr_for_ol_4_main calls undeclared "
+        "function 'helper'"),
+    "header": ("""int f(int a) {
+    return a + 1;
+}
+int main() {
+    int i, s = 0;
+    for (i = 0; i < f(3); i++) {
+        s = s + i;
+    }
+    return s;
+}
+""", ["--inline", "all"], "header.c:6: call to inlined function in an "
+        "unsupported position"),
+    # inlining would move the kernel's callsite out of its host function
+    "hosted": ("""void compute(double A[64], int n) {
+    int i;
+    #pragma omp parallel for check
+    for (i = 0; i < n; i++) {
+        A[i] = A[i] * 2.0;
+    }
+}
+int main() {
+    double A[64];
+    compute(A, 64);
+    return 0;
+}
+""", ["--inline", "all"], "hosted.c:1: function 'compute' holds an "
+        "outlined block and cannot be inlined"),
+    "undefined": ("int main() { return 0; }\n", ["--inline", "nope"],
+                  "undefined.c: cannot inline undefined function(s): nope"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INLINE_ERRORS))
+def test_transform_inline_errors_name_file_and_line(tmp_path, capsys, name):
+    text, options, expected = INLINE_ERRORS[name]
+    src = tmp_path / (name + ".c")
+    src.write_text(text)
+    code, out, err = run_cli(["transform", src, "--out", tmp_path / "o",
+                              *options], capsys)
+    assert code == 1
+    assert err.startswith(str(tmp_path / expected)), err
 
 
 def test_transform_nested_check_blocks_fail_with_a_diagnostic(tmp_path,

@@ -12,13 +12,10 @@ from conftest import load, parse_fixture, structurally_equal
 
 
 def test_table9_matches_golden():
+    # the golden file pins every inlined name, call index and marker
     unit = parse_fixture("table9.c")
-    report = inline_calls_in_place(unit, "all")
+    assert inline_calls_in_place(unit, "all") is None
     assert structurally_equal(print_unit(unit), load("table9.golden.c"))
-    assert report.inlined == ["f", "g"]
-    assert report.markers == ["deletedFunctionBodyNamed_g",
-                              "deletedFunctionBodyNamed_f"]
-    assert report.call_indices == [("f", 0), ("f", 1), ("g", 2), ("g", 3)]
 
 
 def test_table9_key_names_present():
@@ -36,9 +33,8 @@ def test_table9_key_names_present():
 def test_no_calls_is_a_fixpoint():
     unit = parse_translation_unit("int main() { int a = 1; return a; }")
     before = print_unit(unit)
-    report = inline_calls_in_place(unit, "all")
+    inline_calls_in_place(unit, "all")
     assert print_unit(unit) == before
-    assert report.inlined == [] and report.markers == []
 
 
 def test_fresh_names_have_no_duplicates():
@@ -52,10 +48,12 @@ def test_fresh_names_have_no_duplicates():
 
 
 def test_y_strictly_increases():
+    # each expansion declares its `ret_<f><y>`, in call order
     unit = parse_fixture("table9.c")
-    report = inline_calls_in_place(unit, "all")
-    ys = [y for _, y in report.call_indices]
-    assert ys == sorted(ys) and len(set(ys)) == len(ys)
+    inline_calls_in_place(unit, "all")
+    ys = [int(y) for y in re.findall(r"\b(?:int|double|float) ret_[a-z]+(\d+);",
+                                     print_unit(unit))]
+    assert ys == [0, 1, 2, 3]
 
 
 def test_recursion_is_rejected():

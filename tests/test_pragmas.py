@@ -112,6 +112,15 @@ def test_parse_codelet_with_star_transfer():
     assert d.args[1].size == "(row*col)"
 
 
+def test_parse_per_argument_transfer_registers_the_argument():
+    d = parse_hmpp_pragma('#pragma hmpp k codelet, target=CUDA, '
+                          'args[a].transfer=manual')
+    assert [a.name for a in d.args] == ["a"]
+    assert not d.star_transfer
+    assert d.render() == ('#pragma hmpp k codelet, target=CUDA, '
+                          'args[a].transfer=manual')
+
+
 def test_mapbyname_requires_group():
     with pytest.raises(PragmaError):
         parse_hmpp_pragma("#pragma hmpp mapbyname, a, b")

@@ -117,7 +117,11 @@ def test_outline_moves_the_loop():
     unit = copy.deepcopy(parse_fixture("table1.c"))
     block = find_omp_blocks(unit)[0]
     k = outline_block(unit, block, "", resolve(unit))
-    assert k.codelet.loop is block.stmt
+    assert k.codelet.body.stmts[0] is block.stmt
+    # the codelet is the function the unit holds once it is inserted
+    insert_codelets(unit, [k])
+    assert unit.function(k.label) is k.codelet
+    assert unit.items.index(k.codelet) + 1 == unit.items.index(block.fn)
 
 
 def test_body_moved_verbatim():
@@ -128,7 +132,7 @@ def test_body_moved_verbatim():
     from hmppgen.printer import _Printer
     pr_orig, pr_out = _Printer(), _Printer()
     pr_orig.stmt(copy.deepcopy(block_stmt), 0)
-    moved = copy.deepcopy(k.codelet.loop)
+    moved = copy.deepcopy(k.codelet.body.stmts[0])
     moved.pragmas = []
     pr_out.stmt(moved, 0)
     orig_lines = pr_orig.template().fill()
