@@ -129,7 +129,8 @@ def attach_directives(flags: dict[int, FlagSet], plan: TransferPlan,
         holes[first] = head + holes.get(first, [])
     for k in table.kernels:
         f = flags[k.block_id]
-        holes["codelet", id(k.codelet)] = [_codelet_directive(k, f, plan, table)]
+        holes["codelet", id(k.codelet)] = [
+            _codelet_directive(k, f, plan, table)]
         holes.setdefault(("before", id(k.callsite)), []).append(
             _callsite_directive(k, f, plan))
     return {hole: pragma_text(directives)

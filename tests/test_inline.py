@@ -51,8 +51,8 @@ def test_y_strictly_increases():
     # each expansion declares its `ret_<f><y>`, in call order
     unit = parse_fixture("table9.c")
     inline_calls_in_place(unit, "all")
-    ys = [int(y) for y in re.findall(r"\b(?:int|double|float) ret_[a-z]+(\d+);",
-                                     print_unit(unit))]
+    text = print_unit(unit)
+    ys = [int(y) for y in re.findall(r"\bint ret_[a-z]+(\d+);", text)]
     assert ys == [0, 1, 2, 3]
 
 
