@@ -192,19 +192,19 @@ int main() {
 """, ["--inline", "all"], "header.c:6: call to inlined function in an "
         "unsupported position"),
     # inlining would move the kernel's callsite out of its host function
-    "hosted": ("""void compute(double A[64], int n) {
+    "hosted": ("""double A[64];
+void compute() {
     int i;
     #pragma omp parallel for check
-    for (i = 0; i < n; i++) {
+    for (i = 0; i < 64; i++) {
         A[i] = A[i] * 2.0;
     }
 }
 int main() {
-    double A[64];
-    compute(A, 64);
+    compute();
     return 0;
 }
-""", ["--inline", "all"], "hosted.c:1: function 'compute' holds an "
+""", ["--inline", "all"], "hosted.c:2: function 'compute' holds an "
         "outlined block and cannot be inlined"),
     "undefined": ("int main() { return 0; }\n", ["--inline", "nope"],
                   "undefined.c: cannot inline undefined function(s): nope"),
