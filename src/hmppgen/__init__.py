@@ -1,14 +1,3 @@
 """OpenMP-to-HMPP variant generator and time/energy exploration harness."""
 
-from .parser import parse_translation_unit, parse_file, strip_pragmas
-from .printer import print_unit
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "parse_translation_unit",
-    "parse_file",
-    "strip_pragmas",
-    "print_unit",
-    "__version__",
-]

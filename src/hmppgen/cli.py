@@ -1,5 +1,8 @@
 """Command-line driver: transform one configuration, explore a variant
-space end to end, or post-process a measurement CSV."""
+space end to end, or post-process a measurement CSV.
+
+Each command imports only the layers it runs, so `report` never loads
+the compiler and `transform` never loads the simulator."""
 
 from __future__ import annotations
 
@@ -7,18 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .context import dump_context, dump_plan
-from .emit import build_variant, write_variants
 from .errors import (
     AnalysisError, CParseError, ExploreError, PlanError, ReportError,
-    SourceError, TransformError,
+    SourceError, TransformError, read_text,
 )
-from .explore import ExecutorSpec, explore, parse_executor_config
-from .parser import parse_file, read_text
-from .report import (
-    BASELINE_SIGNATURE_TEXT, emit_plot_data, parse_csv, speedup, write_csv,
-)
-from .transform import find_omp_blocks, region_warnings
 from .variants import (
     BASELINE, DEFAULT_VARIANT_CAP, FlagSet, Signature, UnitVariant,
     VariantPlan, decode_signature,
@@ -41,6 +36,8 @@ def _parse_blocks_filter(text: str | None) -> set[int] | None:
 
 def _parse_unit(path: str):
     """Parses the input and prints its region warnings once."""
+    from .parser import parse_file
+    from .transform import find_omp_blocks, region_warnings
     unit = parse_file(path)
     blocks = find_omp_blocks(unit)
     for w in region_warnings(blocks, unit.filename):
@@ -49,6 +46,8 @@ def _parse_unit(path: str):
 
 
 def cmd_transform(args) -> int:
+    from .context import dump_context, dump_plan
+    from .emit import build_variant, write_variants
     unit, blocks = _parse_unit(args.input)
     selected = _parse_blocks_filter(args.blocks)
     out_dir = Path(args.out)
@@ -93,6 +92,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    from .report import parse_csv, write_csv
     unit, blocks = _parse_unit(args.input)
     out_dir = Path(args.out)
     if args.replay:
@@ -102,6 +102,7 @@ def cmd_explore(args) -> int:
         if not any(b.annotated for b in blocks):
             _err("error: explore needs at least one check or fixed block")
             return 2
+        from .explore import ExecutorSpec, explore, parse_executor_config
         executor = (parse_executor_config(args.executor) if args.executor
                     else ExecutorSpec())
         measurements = explore(unit, out_dir, executor, repetitions=args.reps,
@@ -117,6 +118,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .report import parse_csv
     measurements = parse_csv(read_text(args.input))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -125,6 +127,7 @@ def cmd_report(args) -> int:
 
 
 def _summarize(measurements, out_dir, ops, baseline_sig):
+    from .report import BASELINE_SIGNATURE_TEXT, emit_plot_data, speedup
     # a composite signature names one plan per check block: a,b,c|d,e,f
     baseline_text = " | ".join(
         Signature.parse(part).render() for part in baseline_sig.split("|")) \

@@ -34,9 +34,9 @@ from typing import NamedTuple, Optional
 
 from .context import ContextTable, Slot, fold_expr
 from .nodes import (
-    Assign, BinOp, Block, Call, CallsiteStmt, DeclStmt, Expr, ExprStmt, For,
-    If, Name, Num, Paren, Return, SourceUnit, Stmt, Str, Symbol, While,
-    child_stmts, walk_exprs,
+    Assign, BinOp, Block, Call, DeclStmt, Expr, ExprStmt, For, Name, Num,
+    Paren, SourceUnit, Stmt, Str, Symbol, While, child_stmts,
+    stmt_expr_items, walk_exprs,
 )
 from .parser import Resolution
 
@@ -50,19 +50,12 @@ def expr_ops(e: Optional[Expr]) -> int:
 
 
 def own_exprs(stmt: Stmt) -> list[Expr]:
-    """The expressions a statement other than a loop evaluates once each
-    time it runs, not those of its child statements."""
-    if isinstance(stmt, DeclStmt):
-        return [d.init for d in stmt.decls if d.init is not None]
-    if isinstance(stmt, ExprStmt):
-        return [stmt.expr]
-    if isinstance(stmt, Return) and stmt.value is not None:
-        return [stmt.value]
-    if isinstance(stmt, If):
-        return [stmt.cond]
-    if isinstance(stmt, CallsiteStmt):
-        return list(stmt.args)
-    return []
+    """The expressions a statement evaluates once each time it runs, not
+    those of its child statements: none for a loop, whose step charges its
+    own header, and no array dims of a declaration, which run no code."""
+    if isinstance(stmt, (For, While)):
+        return []
+    return [e for name, e in stmt_expr_items(stmt) if name != "dims"]
 
 
 def stmt_own_ops(stmt: Stmt) -> int:

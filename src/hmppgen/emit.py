@@ -264,7 +264,7 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
     res = resolve(work)
     table = build_context_table(work, kernels, res, blocks)
     for k in kernels:
-        diagnostics.extend(check_global_scope(k.codelet, res))
+        diagnostics.extend(check_global_scope(k.codelet, res, work.filename))
     return Shape(work, kernels, table, place(table, groups), diagnostics,
                  compile_costs(work, table, res), unit_template(work))
 

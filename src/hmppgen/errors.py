@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class SourceError(Exception):
     """Error tied to a position in a source file."""
@@ -24,6 +26,19 @@ class SourceError(Exception):
 
     def __str__(self) -> str:
         return self.format()
+
+
+def read_text(path) -> str:
+    """A file's UTF-8 text with universal newlines; a byte that does not
+    decode is a SourceError naming the file and the byte's line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SourceError("not UTF-8 text: byte 0x%02x" % data[e.start],
+                          data.count(b"\n", 0, e.start) + 1,
+                          filename=str(path))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class CParseError(SourceError):

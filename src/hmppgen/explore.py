@@ -1,5 +1,5 @@
-"""The sweep: enumerating the plan space, executing variants and
-aggregating median time and energy.
+"""The sweep: enumerating the plan space and executing each variant into
+a `report.Measurement`.
 
 Two executor modes: `shell` builds and runs each variant through user
 command templates, sampling a cumulative watt-hour counter around the
@@ -24,7 +24,6 @@ remove, and grouped/noupdate plans come out ahead by construction.
 
 from __future__ import annotations
 
-import statistics
 import subprocess
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -33,23 +32,17 @@ from typing import Optional
 
 from .context import LoadPlan, StorePlan, SyncPlan, TransferPlan, form_groups
 from .cost import CallStep, CostProgram, LoopStep, Step
-from .errors import AnalysisError, ExploreError, PlanError, TransformError
-from .nodes import SourceUnit, Symbol
 from .emit import RenderedVariant, build_variant, write_manifest, write_variant
-from .parser import read_text
+from .errors import (
+    AnalysisError, ExploreError, PlanError, TransformError, read_text,
+)
+from .nodes import SourceUnit, Symbol
+from .report import Measurement, median  # noqa: F401  (median re-exported)
 from .transform import find_omp_blocks
 from .variants import (
     BASELINE, DEFAULT_VARIANT_CAP, FlagSet, VariantPlan, enumerate_variants,
     plans_for_unit,
 )
-
-
-def median(samples) -> float:
-    """Middle element for odd counts, mean of the two middle ones for even."""
-    data = list(samples)
-    if not data:
-        raise ExploreError("median of an empty sample list")
-    return float(statistics.median(data))
 
 
 def wh_to_joules(wh: float) -> float:
@@ -426,27 +419,6 @@ def parse_executor_config(path) -> ExecutorSpec:
         spec.params = replace(spec.params, **numbers)
     spec.validate()
     return spec
-
-
-@dataclass
-class Measurement:
-    name: str
-    signature_text: str
-    time_ms: Optional[float]
-    energy_J: Optional[float]
-    samples: list[tuple[float, float]] = field(default_factory=list)
-    failed: bool = False
-    reason: str = ""
-
-    @classmethod
-    def from_samples(cls, name, signature_text, samples) -> "Measurement":
-        return cls(name, signature_text,
-                   median(t for t, _ in samples),
-                   median(e for _, e in samples), list(samples))
-
-    @classmethod
-    def failure(cls, name, signature_text, reason) -> "Measurement":
-        return cls(name, signature_text, None, None, [], True, reason)
 
 
 ENERGY_TIMEOUT_S = 30

@@ -329,17 +329,20 @@ def _expr_fields(stmt: Stmt) -> Iterator[tuple[object, str]]:
             yield node, name
 
 
+def stmt_expr_items(stmt: Stmt) -> Iterator[tuple[str, Expr]]:
+    """(field name, expression) of each top-level expression one statement
+    owns, in textual order."""
+    for node, name in _expr_fields(stmt):
+        value = getattr(node, name)
+        for e in value if isinstance(value, list) else (value,):
+            if isinstance(e, Expr):
+                yield name, e
+
+
 def stmt_exprs(stmt: Stmt) -> list[Expr]:
     """Top-level expressions owned directly by one statement, in textual
     order."""
-    out = []
-    for node, name in _expr_fields(stmt):
-        value = getattr(node, name)
-        if isinstance(value, list):
-            out.extend(value)
-        elif isinstance(value, Expr):
-            out.append(value)
-    return out
+    return [e for _, e in stmt_expr_items(stmt)]
 
 
 def rewrite_stmt_exprs(stmt: Stmt, fn: Callable[[Expr], Optional[Expr]]):

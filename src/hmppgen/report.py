@@ -1,16 +1,49 @@
-"""The measurement CSV, speedups, energy efficiency and the Pareto frontier."""
+"""The measurement record, its CSV, speedups, energy efficiency and the
+Pareto frontier."""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass
+import statistics
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import ReportError
-from .explore import Measurement
+from .errors import ExploreError, ReportError
+
+
+def median(samples) -> float:
+    """Middle element for odd counts, mean of the two middle ones for even."""
+    data = list(samples)
+    if not data:
+        raise ExploreError("median of an empty sample list")
+    return float(statistics.median(data))
+
+
+@dataclass
+class Measurement:
+    """One variant's result, as one CSV row holds it: median time and
+    energy over its samples, or a failure with its reason."""
+
+    name: str
+    signature_text: str
+    time_ms: Optional[float]
+    energy_J: Optional[float]
+    samples: list[tuple[float, float]] = field(default_factory=list)
+    failed: bool = False
+    reason: str = ""
+
+    @classmethod
+    def from_samples(cls, name, signature_text, samples) -> "Measurement":
+        return cls(name, signature_text,
+                   median(t for t, _ in samples),
+                   median(e for _, e in samples), list(samples))
+
+    @classmethod
+    def failure(cls, name, signature_text, reason) -> "Measurement":
+        return cls(name, signature_text, None, None, [], True, reason)
 
 CSV_HEADER = "Version/Measure,Signature,Time Expended(ms.),Energy Consumption(J.)"
 

@@ -483,22 +483,27 @@ def insert_codelets(unit: SourceUnit, kernels: list[Kernel]):
                 at += 1
 
 
-def check_global_scope(codelet: FunctionDef, res: Resolution) -> list[str]:
-    """Diagnostics for identifiers in the codelet body that resolve to a
-    global rather than to a parameter or a body-local declaration, and for
-    calls left un-inlined; `res` resolves the unit the codelet is in."""
+def check_global_scope(codelet: FunctionDef, res: Resolution,
+                       filename: str) -> list[str]:
+    """`file:line` diagnostics for identifiers in the codelet body that
+    resolve to a global rather than to a parameter or a body-local
+    declaration, and for calls left un-inlined, each at the line of the
+    statement that holds it; `res` resolves the unit the codelet is in."""
     diags: list[str] = []
     for stmt in walk_stmts(codelet.body):
         for e in stmt_exprs(stmt):
             for node in walk_exprs(e):
                 if (isinstance(node, Name)
                         and res.symbol_of(node).storage == "global"):
-                    diags.append("codelet %s: identifier %r does not resolve "
-                                 "to a parameter or local"
-                                 % (codelet.name, node.ident))
+                    msg = ("codelet %s: identifier %r does not resolve to a "
+                           "parameter or local" % (codelet.name, node.ident))
                 elif isinstance(node, Call) and node.func not in MATH_BUILTINS:
-                    diags.append("codelet %s: un-inlinable call to %r"
-                                 % (codelet.name, node.func))
+                    msg = ("codelet %s: un-inlinable call to %r"
+                           % (codelet.name, node.func))
+                else:
+                    continue
+                diags.append(SourceError(msg, stmt.line or None, None,
+                                         filename).format())
     return diags
 
 
@@ -630,7 +635,7 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
         ret = returns[0]
         body.stmts[-1] = ExprStmt(Assign("=", Name(ret_name),
                                          ret.value if ret.value is not None
-                                         else Num("0")))
+                                         else Num("0")), line=ret.line)
         body.stmts.insert(0, DeclStmt([VarDecl(ret_name, fn.return_type)],
                                       fn.return_type))
         if capture:

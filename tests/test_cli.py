@@ -662,6 +662,39 @@ def test_cli_entry_point_runs():
     assert "transform" in proc.stdout
 
 
+LOADED = """import sys
+from hmppgen.cli import main
+code = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith("hmppgen")))
+sys.exit(code)
+"""
+
+
+def modules_loaded(argv) -> set[str]:
+    """The hmppgen modules a fresh interpreter holds after one command."""
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", LOADED]
+                          + [str(a) for a in argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("hmppgen.")
+            for m in proc.stdout.splitlines()[-1].split()}
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    assert modules_loaded(["report", DATA / "table8.csv",
+                           "--out", tmp_path / "r"]) == {
+        "hmppgen", "cli", "errors", "report", "variants"}
+    loaded = modules_loaded(["transform", DATA / "gemm64.c",
+                             "--out", tmp_path / "t", "--inline", "all"])
+    assert {"parser", "emit", "context"} <= loaded
+    assert not loaded & {"explore", "report"}
+    loaded = modules_loaded(["explore", DATA / "jacobi_t6.c", "--out",
+                             tmp_path / "x", "--replay", DATA / "table8.csv"])
+    assert {"parser", "report"} <= loaded
+    assert not loaded & {"explore", "emit", "context", "cost"}
+
+
 # -- nesting limit ----------------------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from hmppgen.variants import (
     Signature, UnitVariant, VariantPlan, decode_signature, plans_for_unit,
 )
 
-from conftest import load, parse_fixture
+from conftest import DATA, load, parse_fixture
 
 
 def make_variant(name, sig_by_block):
@@ -394,8 +394,9 @@ def test_explore_logs_build_diagnostics(tmp_path):
     assert len(logs) == 22
     first_lines = [p.read_text().splitlines()[0] for p in logs]
     assert first_lines.count(
-        "diagnostic: codelet _instr_for_ol_15_main: identifier 'scale' does "
-        "not resolve to a parameter or local") == 21
+        "diagnostic: %s:6: codelet _instr_for_ol_15_main: identifier 'scale' "
+        "does not resolve to a parameter or local"
+        % (DATA / "global_helper.c")) == 21
     assert (tmp_path / "logs" / "0_0_0.log").read_text().startswith(
         "simulated: ")
 

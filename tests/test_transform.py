@@ -348,7 +348,7 @@ def scoped(name, tag=""):
 
 def test_check_global_scope_clean_codelet():
     unit, k = scoped("table5.c", tag="12")
-    assert check_global_scope(k.codelet, resolve(unit)) == []
+    assert check_global_scope(k.codelet, resolve(unit), unit.filename) == []
 
 
 def test_check_global_scope_reports_unresolved(tmp_path, capsys):
@@ -358,9 +358,10 @@ def test_check_global_scope_reports_unresolved(tmp_path, capsys):
                  "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 0
+    # the helper's `return v * scale;` is on line 6
     assert err.splitlines() == [
-        "codelet _instr_for_ol_15_main: identifier 'scale' does not resolve "
-        "to a parameter or local"]
+        "%s:6: codelet _instr_for_ol_15_main: identifier 'scale' does not "
+        "resolve to a parameter or local" % (DATA / "global_helper.c")]
 
 
 def test_check_global_scope_flags_opaque_calls():
@@ -368,11 +369,11 @@ def test_check_global_scope_flags_opaque_calls():
     import hmppgen.nodes as N
     k.codelet.body.stmts.append(N.ExprStmt(
         N.Call("displayRegion", [N.Name("result")])))
-    diags = check_global_scope(k.codelet, resolve(unit))
+    diags = check_global_scope(k.codelet, resolve(unit), unit.filename)
     assert any("displayRegion" in d and "un-inlinable" in d for d in diags)
 
 
 def test_math_builtins_allowed_in_codelets():
     unit, k = scoped("table5.c", tag="12")
     assert "cos(" in load("table5.c")
-    assert check_global_scope(k.codelet, resolve(unit)) == []
+    assert check_global_scope(k.codelet, resolve(unit), unit.filename) == []
