@@ -1,8 +1,6 @@
 """Command-line driver: transform one configuration, explore a variant
-space end to end, or post-process a measurement CSV.
-
-Each command imports only the layers it runs, so `report` never loads
-the compiler and `transform` never loads the simulator."""
+space end to end, or post-process a measurement CSV.  Each command
+imports only the layers it runs, so `report` loads no compiler."""
 
 from __future__ import annotations
 

@@ -45,6 +45,7 @@ class Measurement:
     def failure(cls, name, signature_text, reason) -> "Measurement":
         return cls(name, signature_text, None, None, [], True, reason)
 
+
 CSV_HEADER = "Version/Measure,Signature,Time Expended(ms.),Energy Consumption(J.)"
 
 BASELINE_SIGNATURE_TEXT = "0, 0, 0"
