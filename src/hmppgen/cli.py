@@ -91,12 +91,12 @@ def cmd_transform(args) -> int:
 
 def cmd_explore(args) -> int:
     from .report import parse_csv, write_csv
-    unit, blocks = _parse_unit(args.input)
     out_dir = Path(args.out)
     if args.replay:
         measurements = parse_csv(read_text(args.replay))
         out_dir.mkdir(parents=True, exist_ok=True)
     else:
+        unit, blocks = _parse_unit(args.input)
         if not any(b.annotated for b in blocks):
             _err("error: explore needs at least one check or fixed block")
             return 2

@@ -269,25 +269,36 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
                  compile_costs(work, table, res), unit_template(work))
 
 
+def shape_of(unit: SourceUnit, uv: UnitVariant,
+             extra_inline: "tuple[str, ...] | str" = (),
+             shapes: Optional[dict] = None) -> "Shape | SourceError":
+    """The analysis of `uv`'s shape, or the diagnostic that failed it.
+
+    `shapes` caches it by `_shape_key` across calls on the same unit;
+    without it every call analyses afresh.  `unit` is never changed.
+    """
+    shapes = {} if shapes is None else shapes
+    key = _shape_key(uv, extra_inline)
+    if key not in shapes:
+        try:
+            shapes[key] = _analyse_shape(
+                unit, {p.block_id: p.flags for p in uv.plans}, extra_inline)
+        except SourceError as e:
+            shapes[key] = e
+    return shapes[key]
+
+
 def build_variant(unit: SourceUnit, uv: UnitVariant,
                   extra_inline: "tuple[str, ...] | str" = (),
                   shapes: Optional[dict] = None) -> RenderedVariant:
     """Applies one UnitVariant to a parsed unit and renders the result.
 
-    `shapes` caches the analysis by `_shape_key` across calls on the same
-    unit, a failed one as its diagnostic, which every later variant of the
-    shape raises again; without it every call analyses afresh.  `unit` is
-    never changed.
+    `shapes` is `shape_of`'s cache: a failed analysis is kept as its
+    diagnostic, which every later variant of the shape raises again.
+    `unit` is never changed.
     """
     flags_by_block = {p.block_id: p.flags for p in uv.plans}
-    shapes = {} if shapes is None else shapes
-    key = _shape_key(uv, extra_inline)
-    if key not in shapes:
-        try:
-            shapes[key] = _analyse_shape(unit, flags_by_block, extra_inline)
-        except SourceError as e:
-            shapes[key] = e
-    shape = shapes[key]
+    shape = shape_of(unit, uv, extra_inline, shapes)
     if isinstance(shape, SourceError):
         raise shape.with_traceback(None)
     plan = build_transfer_plan(shape.table, shape.placement, flags_by_block)

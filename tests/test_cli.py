@@ -410,6 +410,16 @@ def test_explore_replay_mode(tmp_path, capsys):
     assert csv_lines[1] == 'Original(OpenMP),"0, 0, 0",59500,17428'
 
 
+def test_explore_replay_does_not_parse_the_input(tmp_path, capsys):
+    bad = tmp_path / "bad.c"
+    bad.write_text("int main( {\n")
+    code, out, err = run_cli(["explore", bad, "--out", tmp_path / "o",
+                              "--replay", DATA / "table8.csv"], capsys)
+    assert code == 0, err
+    assert "pareto" in out
+    assert (tmp_path / "o" / "report.csv").is_file()
+
+
 TWO_CHECKS = """int main() {
     int i;
     double A[16];
@@ -691,8 +701,8 @@ def test_each_command_loads_only_its_layers(tmp_path):
     assert not loaded & {"explore", "report"}
     loaded = modules_loaded(["explore", DATA / "jacobi_t6.c", "--out",
                              tmp_path / "x", "--replay", DATA / "table8.csv"])
-    assert {"parser", "report"} <= loaded
-    assert not loaded & {"explore", "emit", "context", "cost"}
+    assert "report" in loaded
+    assert not loaded & {"parser", "explore", "emit", "context", "cost"}
 
 
 # -- nesting limit ----------------------------------------------------------------

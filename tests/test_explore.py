@@ -1,10 +1,13 @@
+import errno
 import gc
 import importlib
 import math
+import os
 import pkgutil
 import random
 import re
 import subprocess
+import threading
 import weakref
 from collections import Counter
 
@@ -399,6 +402,104 @@ def test_explore_logs_build_diagnostics(tmp_path):
         % (DATA / "global_helper.c")) == 21
     assert (tmp_path / "logs" / "0_0_0.log").read_text().startswith(
         "simulated: ")
+
+
+def test_explore_checks_its_settings_once(tmp_path, monkeypatch):
+    check = hmppgen.explore._check_run
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(hmppgen.explore, "_check_run", counted)
+    ms = explore(parse_fixture("gemm64.c"), tmp_path, repetitions=1)
+    assert len(ms) > 2 and len(calls) == 1
+
+
+# -- sweep workers ------------------------------------------------------------------
+
+
+def force_workers(monkeypatch, n):
+    """Splits every simulated sweep of at least `n` variants across `n`
+    workers, whatever the host's CPU count."""
+    monkeypatch.setattr(hmppgen.explore, "_cpus", lambda: n)
+    monkeypatch.setattr(hmppgen.explore, "MIN_PER_WORKER", 1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count(monkeypatch):
+    monkeypatch.setattr(hmppgen.explore, "_cpus", lambda: 2)
+    count = hmppgen.explore._worker_count
+    least = 2 * hmppgen.explore.MIN_PER_WORKER
+    assert count(ExecutorSpec(), least) == 2
+    assert count(ExecutorSpec(), 100 * least) == 2
+    assert count(ExecutorSpec(), least - 1) == 1
+    shell = ExecutorSpec(mode="shell", build="cc {file} -o {exe}",
+                         energy_cmd="echo 0")
+    assert count(shell, 100 * least) == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert count(ExecutorSpec(), least) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_a_worker_exception_is_raised_by_explore(tmp_path, monkeypatch):
+    force_workers(monkeypatch, 2)
+    write, parent = hmppgen.explore.write_variant, os.getpid()
+
+    def full_disk_in_workers(rv, stem, out):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, "No space left on device",
+                          rv.filename_sig)
+        return write(rv, stem, out)
+
+    monkeypatch.setattr(hmppgen.explore, "write_variant", full_disk_in_workers)
+    with pytest.raises(OSError) as info:
+        explore(parse_fixture("gemm64.c"), tmp_path, repetitions=1)
+    assert info.value.errno == errno.ENOSPC
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_is_an_explore_error(tmp_path, monkeypatch):
+    force_workers(monkeypatch, 2)
+    write, parent = hmppgen.explore.write_variant, os.getpid()
+
+    def exit_in_workers(rv, stem, out):
+        if os.getpid() != parent:
+            os._exit(3)
+        return write(rv, stem, out)
+
+    monkeypatch.setattr(hmppgen.explore, "write_variant", exit_in_workers)
+    with pytest.raises(ExploreError, match="worker 1 ended with exit status 3"):
+        explore(parse_fixture("gemm64.c"), tmp_path, repetitions=1)
+    assert_no_child_left()
+
+
+def test_an_interrupted_sweep_reaps_its_workers(tmp_path, monkeypatch):
+    force_workers(monkeypatch, 2)
+    write, parent = hmppgen.explore.write_variant, os.getpid()
+
+    def interrupt_here(rv, stem, out):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return write(rv, stem, out)
+
+    monkeypatch.setattr(hmppgen.explore, "write_variant", interrupt_here)
+    allowed = os.sched_getaffinity(0)
+    with pytest.raises(KeyboardInterrupt):
+        explore(parse_fixture("gemm64.c"), tmp_path, repetitions=1)
+    assert_no_child_left()
+    assert os.sched_getaffinity(0) == allowed
 
 
 # -- one name, two declarations -------------------------------------------------

@@ -19,6 +19,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import pytest
+
 DATA = Path(__file__).parent / "data"
 DIGESTS = DATA / "sweeps.sha256"
 
@@ -47,12 +49,13 @@ DIGESTED = ("report.csv", "manifest.txt", "variants/manifest.txt",
             "variants/*.c", "logs/*.log", "*.c", "analysis.txt", "stderr.txt")
 
 
-def sweep_digests(root: Path) -> list[str]:
-    """Runs every entry of RUNS under `root`; returns `<sha256>  <path>` lines."""
+def sweep_digests(root: Path, runs=RUNS) -> list[str]:
+    """Runs every entry of `runs` under `root`; returns `<sha256>  <path>`
+    lines."""
     from hmppgen.cli import main
 
     lines = []
-    for name, source, args in RUNS:
+    for name, source, args in runs:
         out = root / name
         command, *rest = args
         rest = [str(out / "analysis.txt") if a is None else a for a in rest]
@@ -81,6 +84,19 @@ def sweep_digests(root: Path) -> list[str]:
 def test_sweep_outputs_match_digests(tmp_path):
     expected = DIGESTS.read_text(encoding="utf-8").splitlines()
     assert sweep_digests(tmp_path) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_table5_outputs_match_on_any_worker_count(tmp_path, monkeypatch,
+                                                  workers):
+    # the whole-suite digest run forks or not depending on the host's CPUs
+    import hmppgen.explore
+    monkeypatch.setattr(hmppgen.explore, "_cpus", lambda: workers)
+    expected = [line for line in
+                DIGESTS.read_text(encoding="utf-8").splitlines()
+                if line.endswith("  table5/**")]
+    runs = [run for run in RUNS if run[0] == "table5"]
+    assert sweep_digests(tmp_path, runs) == expected
 
 
 if __name__ == "__main__":
