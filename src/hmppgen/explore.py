@@ -20,6 +20,11 @@ symbol, a download only when an accelerator kernel wrote the symbol
 since the last download.  Redundant per-callsite copies of unchanged
 data are therefore free, which is exactly the waste the directives
 remove, and grouped/noupdate plans come out ahead by construction.
+
+The variants of a sweep are independent, so a large simulated sweep is
+split across forked workers, one per CPU (`explore`); its outputs are
+unchanged.  A shell sweep stays on one worker, because the runs it
+times must not overlap.
 """
 
 from __future__ import annotations
@@ -563,9 +568,10 @@ def block_plans(unit: SourceUnit,
     return out
 
 
-# The fewest variants a worker is forked for.  On a shared 2-vCPU x86 VM
-# (Python 3.11), the first N variants of `table5.c` took, as medians of 12
-# alternating runs on one worker and on two: N = 25, 23 -> 29 ms; N = 100,
+# A sweep gets one worker per MIN_PER_WORKER variants, up to one per CPU.
+# On a shared 2-vCPU x86 VM (Python 3.11), the first N variants of
+# `table5.c` took, as medians of 12 alternating runs on one worker and on
+# two pinned workers: N = 25, 23 -> 29 ms; N = 100,
 # 50 -> 48 ms (two won 5 of 12); N = 150, 69 -> 62 ms (9 of 12); N = 200,
 # 82 -> 69 ms (12 of 12).  The crossover is 100-150 variants, so two
 # workers start at 200.
@@ -609,8 +615,6 @@ def _in_workers(n: int, work) -> list:
             pid = os.fork()
             if pid == 0:
                 os.close(r)
-                for f in pipes:
-                    f.close()
                 os.sched_setaffinity(0, {allowed[k % len(allowed)]})
                 _child(work, k, w)
             os.close(w)
