@@ -533,6 +533,9 @@ class _InlineState:
         self.counter += 1
         return y
 
+    def is_target(self, e: Expr) -> bool:
+        return isinstance(e, Call) and e.func in self.targets
+
     def error(self, message: str, at: Stmt) -> TransformError:
         """A diagnostic at the line of statement `at`, when it has one."""
         return TransformError(message, at.line or None, None,
@@ -683,62 +686,38 @@ def _is_addressable(e: Expr) -> bool:
     return isinstance(e, (Name, Index))
 
 
-def _calls_in(e: Expr, targets: set[str]) -> list[Call]:
-    return [n for n in walk_exprs(e)
-            if isinstance(n, Call) and n.func in targets]
-
-
-def _substitute(e: Expr, call: Call, replacement: Expr) -> Expr:
-    return replace_exprs(e, lambda node: replacement if node is call else None)
-
-
 def _inline_stmt(stmt: Stmt, state: _InlineState, level: int) -> list[Stmt]:
-    if isinstance(stmt, ExprStmt):
-        calls = _calls_in(stmt.expr, state.targets)
-        if not calls:
-            return [stmt]
-        out: list[Stmt] = []
-        if stmt.expr in calls:
-            # bare call statement: expand nested argument calls first, then
-            # the outer call in place with its result discarded
-            for call in calls[1:]:
-                stmts, ret = _expand_call(call, stmt, level, state,
-                                          capture=True)
-                out.extend(stmts)
-                _substitute(stmt.expr, call, Name(ret))
-            stmts, _ = _expand_call(stmt.expr, stmt, level, state,
-                                    capture=False)
-            out.extend(stmts)
-            if out:
-                out[0].pragmas = stmt.pragmas + out[0].pragmas
-            return out
-        for call in calls:
-            stmts, ret = _expand_call(call, stmt, level, state,
-                                      capture=True)
-            out.extend(stmts)
-            _substitute(stmt.expr, call, Name(ret))
-        out.append(stmt)
-        return out
-    if isinstance(stmt, DeclStmt):
-        out = []
-        for d in stmt.decls:
-            if d.init is None:
-                continue
-            for call in _calls_in(d.init, state.targets):
-                stmts, ret = _expand_call(call, stmt, level, state,
-                                          capture=True)
-                out.extend(stmts)
-                d.init = _substitute(d.init, call, Name(ret))
-        return out + [stmt]
-    for e in stmt_exprs(stmt):
-        if _calls_in(e, state.targets):
+    """Expands the target calls in the expressions `stmt` owns, innermost
+    first; returns their statements followed by `stmt`, which now reads
+    each result from its `_return_<y>`.  A bare call statement is replaced
+    by its expansion, its result discarded."""
+    out: list[Stmt] = []
+
+    def expanded(e: Expr) -> Optional[Expr]:
+        if not state.is_target(e):
+            return None
+        if not isinstance(stmt, (ExprStmt, DeclStmt, Return)):
             raise state.error("call to inlined function in an unsupported "
                               "position (loop header or condition)", stmt)
-    return [stmt]
+        e.args = [replace_exprs(a, expanded) for a in e.args]
+        stmts, ret = _expand_call(e, stmt, level, state, capture=True)
+        out.extend(stmts)
+        return Name(ret)
+
+    if isinstance(stmt, ExprStmt) and state.is_target(stmt.expr):
+        stmt.expr.args = [replace_exprs(a, expanded) for a in stmt.expr.args]
+        out += _expand_call(stmt.expr, stmt, level, state, capture=False)[0]
+        out[0].pragmas = stmt.pragmas + out[0].pragmas
+        return out
+    if isinstance(stmt, For) and isinstance(stmt.init, DeclStmt):
+        # a header's declaration is a child statement; refused like the rest
+        rewrite_stmt_exprs(stmt.init, expanded)
+    rewrite_stmt_exprs(stmt, expanded)
+    return out + [stmt]
 
 
 def _has_target_calls(stmt: Stmt, state: _InlineState) -> bool:
-    return any(call.func in state.targets for _, call in _calls(stmt))
+    return any(state.is_target(call) for _, call in _calls(stmt))
 
 
 def _inline_into_children(stmt: Stmt, state: _InlineState, level: int):

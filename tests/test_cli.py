@@ -191,6 +191,19 @@ int main() {
 }
 """, ["--inline", "all"], "header.c:6: call to inlined function in an "
         "unsupported position"),
+    # the declaration in a for header is a child statement of the loop
+    "header_decl": ("""int f(int a) {
+    return a + 1;
+}
+int main() {
+    int s = 0;
+    for (int i = f(0); i < 4; i++) {
+        s = s + i;
+    }
+    return s;
+}
+""", ["--inline", "all"], "header_decl.c:6: call to inlined function in an "
+        "unsupported position"),
     # inlining would move the kernel's callsite out of its host function
     "hosted": ("""double A[64];
 void compute() {

@@ -404,6 +404,31 @@ def test_explore_logs_build_diagnostics(tmp_path):
         "simulated: ")
 
 
+def test_explore_inlines_nested_calls_in_every_codelet(tmp_path):
+    # `g(i)` is expanded before the `f` that reads its result
+    unit = parse_translation_unit("""int g(int a) {
+    return a + 2;
+}
+int f(int a) {
+    return a * a;
+}
+int main() {
+    int i;
+    int A[64];
+    #pragma omp parallel for check
+    for (i = 0; i < 64; i++) {
+        A[i] = f(g(i)) + 1;
+    }
+    return A[5];
+}
+""", "kernel.c")
+    ms = explore(unit, tmp_path, repetitions=1)
+    assert len(ms) == 22 and not any(m.failed for m in ms)
+    logs = [p.read_text() for p in (tmp_path / "logs").glob("*.log")]
+    assert len(logs) == 22
+    assert not any("un-inlinable call" in log for log in logs)
+
+
 def test_explore_checks_its_settings_once(tmp_path, monkeypatch):
     check = hmppgen.explore._check_run
     calls = []

@@ -8,7 +8,7 @@ from hmppgen.parser import parse_translation_unit
 from hmppgen.printer import print_unit
 from hmppgen.transform import inline_calls_in_place
 
-from conftest import load, parse_fixture, structurally_equal
+from conftest import cc_run, load, parse_fixture, structurally_equal
 
 
 def test_table9_matches_golden():
@@ -173,6 +173,26 @@ int main() {
     assert "_return_" not in text
 
 
+def test_nested_calls_expand_innermost_first(tmp_path):
+    # an argument's call is expanded before the call that reads it, in an
+    # assignment, an initializer, a bare call and an array dimension
+    unit = parse_fixture("nested_calls.c")
+    inline_calls_in_place(unit, "all")
+    text = print_unit(unit)
+    assert not re.search(r"\b[fgh]\(", text)
+    for name in "fgh":
+        assert "int deletedFunctionBodyNamed_%s = 1;" % name in text
+    assert re.findall(r"\bint ret_([a-z])(\d+);", text) == [
+        ("g", "0"), ("f", "1"), ("g", "2"), ("f", "3"),
+        ("h", "4"), ("g", "5"), ("f", "6"), ("f", "7")]
+    for needle in ("int _p_0_f_1 = _return_0;", "l = _return_1 + 1;",
+                   "int m = _return_3;", "int _p_0_g_5 = _return_4;",
+                   "int _p_0_f_6 = _return_5;", "int a[_return_7];"):
+        assert needle in text
+    assert cc_run(text, tmp_path, "inlined") == \
+        cc_run(load("nested_calls.c"), tmp_path, "original")
+
+
 # -- splitting multi-call expressions ----------------------------------------------
 # Each captured call gets a `_return_<y>` variable, declared in left-to-right
 # call order before the statement that recombines them.
@@ -224,6 +244,20 @@ int main() {
     texts = inlined_main(parse_translation_unit(src))
     assert "ret_f0" in capture_of(texts, 0)
     assert texts[-2:] == ["l = _return_0;", "return l;"]
+
+
+def test_split_returned_call():
+    src = """int f(int a) {
+    return a + 1;
+}
+int main() {
+    int x = 2;
+    return f(x);
+}
+"""
+    texts = inlined_main(parse_translation_unit(src))
+    assert "ret_f0" in capture_of(texts, 0)
+    assert texts[-1] == "return _return_0;"
 
 
 def test_split_preserves_left_to_right_call_order():

@@ -34,6 +34,7 @@ RUNS = [
     ("pinned_pair", "pinned_pair.c", ["explore", "--reps", "1"]),
     ("table5_analysis", "table5.c", ["transform", "--dump-analysis", None]),
     ("inline_run", "inline_run.c", ["transform", "--inline", "all"]),
+    ("nested_calls", "nested_calls.c", ["transform", "--inline", "all"]),
     ("global_helper", "global_helper.c", ["transform"]),
     ("table9_analysis", "table9.c",
      ["transform", "--inline", "all", "--dump-analysis", None]),
