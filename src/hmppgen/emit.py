@@ -14,7 +14,8 @@ transfer plan is empty.  The render of one variant applies its flags to
 the shape's transfer points (`build_transfer_plan`) and fills the
 template's holes with the variant's HMPP directives
 (`attach_directives` returns an `Overlay`; the tree itself is never
-changed after its analysis).  The flags stay with the variant
+changed after its analysis); a sweep shares one memo of directive texts,
+so each distinct directive renders once.  The flags stay with the variant
 (`RenderedVariant.flags`); nothing the shape holds carries them.  Where
 each transfer prints, and in which order, is the plan's schedule, which
 `context` decides; this module only renders it.
@@ -37,7 +38,7 @@ from .nodes import SourceUnit
 from .parser import resolve
 from .pragmas import HmppArg, HmppDirective, OmpPragma
 from .printer import (
-    Overlay, Template, pragma_text, print_expr, unit_template,
+    Overlay, Template, print_expr, unit_template,
 )
 from .transform import (
     Kernel, OmpBlock, check_global_scope, find_omp_blocks,
@@ -52,7 +53,9 @@ class RenderedVariant:
     `flags` its flags by block id.  `unit`, `kernels`, `table` and
     `program` are its shape's, shared with the shape's other variants:
     they carry none of the variant's flags or directives and must not be
-    changed."""
+    changed.  `key` is its shape's template and the directive texts that
+    fill it (`Template.key`): variants with equal keys print the same
+    program."""
 
     name: str
     signature_text: str
@@ -64,6 +67,7 @@ class RenderedVariant:
     plan: TransferPlan
     table: ContextTable
     program: CostProgram
+    key: tuple
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -107,7 +111,8 @@ def _callsite_directive(k: Kernel, flags: FlagSet,
 
 
 def attach_directives(flags: dict[int, FlagSet], plan: TransferPlan,
-                      table: ContextTable) -> Overlay:
+                      table: ContextTable,
+                      texts: Optional[dict] = None) -> Overlay:
     """Prints the plan's schedule and the codelet and callsite directives
     of the table's kernels under their `flags` (by block id) as an
     overlay for the template of the table's unit; the tree itself is left
@@ -116,7 +121,12 @@ def attach_directives(flags: dict[int, FlagSet], plan: TransferPlan,
     A slot holds the schedule's transfers in its order.  The group
     declarations and mapbyname lead the function's first slot, and a
     callsite directive follows the rest of its slot.
+
+    `texts` memoises across calls the line of each directive, by
+    `HmppDirective.key`, and the text of each hole, by its lines, so each
+    distinct directive renders once and equal holes share one string.
     """
+    texts = {} if texts is None else texts
     holes = {slot: _grouped_transfers(transfers)
              for slot, transfers in plan.schedule.items()}
     if plan.groups:
@@ -133,8 +143,23 @@ def attach_directives(flags: dict[int, FlagSet], plan: TransferPlan,
             _codelet_directive(k, f, plan, table)]
         holes.setdefault(("before", id(k.callsite)), []).append(
             _callsite_directive(k, f, plan))
-    return {hole: pragma_text(directives)
+    return {hole: _hole_text(directives, texts)
             for hole, directives in holes.items()}
+
+
+def _hole_text(directives: list[HmppDirective], texts: dict) -> str:
+    """The lines of one hole's directives, joined, through the memo
+    `texts` (see `attach_directives`)."""
+    lines = []
+    for d in directives:
+        key = d.key()
+        if key not in texts:
+            texts[key] = d.render() + "\n"
+        lines.append(texts[key])
+    lines = tuple(lines)
+    if lines not in texts:
+        texts[lines] = "".join(lines)
+    return texts[lines]
 
 
 def _grouped_transfers(transfers: list) -> list[HmppDirective]:
@@ -269,45 +294,37 @@ def _analyse_shape(unit: SourceUnit, flags_by_block: dict[int, FlagSet],
                  compile_costs(work, table, res), unit_template(work))
 
 
-def shape_of(unit: SourceUnit, uv: UnitVariant,
-             extra_inline: "tuple[str, ...] | str" = (),
-             shapes: Optional[dict] = None) -> "Shape | SourceError":
-    """The analysis of `uv`'s shape, or the diagnostic that failed it.
+def build_variant(unit: SourceUnit, uv: UnitVariant,
+                  extra_inline: "tuple[str, ...] | str" = (),
+                  shapes: Optional[dict] = None,
+                  texts: Optional[dict] = None) -> RenderedVariant:
+    """Applies one UnitVariant to a parsed unit and renders the result.
 
-    `shapes` caches it by `_shape_key` across calls on the same unit;
-    without it every call analyses afresh.  `unit` is never changed.
+    `shapes` caches each shape's analysis by `_shape_key` across calls on
+    the same unit; a failed analysis is kept as its diagnostic, which
+    every later variant of the shape raises again.  `texts` is
+    `attach_directives`' memo.  Without them every call starts afresh.
+    `unit` is never changed.
     """
+    flags_by_block = {p.block_id: p.flags for p in uv.plans}
     shapes = {} if shapes is None else shapes
     key = _shape_key(uv, extra_inline)
     if key not in shapes:
         try:
-            shapes[key] = _analyse_shape(
-                unit, {p.block_id: p.flags for p in uv.plans}, extra_inline)
+            shapes[key] = _analyse_shape(unit, flags_by_block, extra_inline)
         except SourceError as e:
             shapes[key] = e
-    return shapes[key]
-
-
-def build_variant(unit: SourceUnit, uv: UnitVariant,
-                  extra_inline: "tuple[str, ...] | str" = (),
-                  shapes: Optional[dict] = None) -> RenderedVariant:
-    """Applies one UnitVariant to a parsed unit and renders the result.
-
-    `shapes` is `shape_of`'s cache: a failed analysis is kept as its
-    diagnostic, which every later variant of the shape raises again.
-    `unit` is never changed.
-    """
-    flags_by_block = {p.block_id: p.flags for p in uv.plans}
-    shape = shape_of(unit, uv, extra_inline, shapes)
+    shape = shapes[key]
     if isinstance(shape, SourceError):
         raise shape.with_traceback(None)
     plan = build_transfer_plan(shape.table, shape.placement, flags_by_block)
-    overlay = attach_directives(flags_by_block, plan, shape.table)
+    overlay = attach_directives(flags_by_block, plan, shape.table, texts)
     return RenderedVariant(
         name=uv.name, signature_text=uv.signature_text,
         filename_sig=uv.filename_sig, source=shape.template.fill(overlay),
         flags=flags_by_block, unit=shape.unit, kernels=shape.kernels,
         plan=plan, table=shape.table, program=shape.program,
+        key=shape.template.key(overlay),
         diagnostics=shape.diagnostics + plan.diagnostics)
 
 

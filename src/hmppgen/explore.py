@@ -21,19 +21,15 @@ since the last download.  Redundant per-callsite copies of unchanged
 data are therefore free, which is exactly the waste the directives
 remove, and grouped/noupdate plans come out ahead by construction.
 
-The variants of a sweep are independent, so a large simulated sweep is
-split across forked workers, one per CPU (`explore`); its outputs are
-unchanged.  A shell sweep stays on one worker, because the runs it
-times must not overlap.
+Many variants of a sweep print the same program.  A simulated sweep
+replays each distinct program once and gives its result to every
+variant that prints it (`RenderedVariant.key` identifies the program
+without its text); a shell sweep builds and runs every variant.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 import subprocess
-import threading
 import time as _time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -42,7 +38,7 @@ from typing import Optional
 from .context import LoadPlan, StorePlan, SyncPlan, TransferPlan, form_groups
 from .cost import CallStep, CostProgram, LoopStep, Step
 from .emit import (
-    RenderedVariant, build_variant, shape_of, write_manifest, write_variant,
+    RenderedVariant, build_variant, write_manifest, write_variant,
 )
 from .errors import (
     AnalysisError, ExploreError, PlanError, TransformError, read_text,
@@ -508,20 +504,27 @@ def _check_run(executor: ExecutorSpec, repetitions: int,
 
 
 def _measure(rv: RenderedVariant, executor: ExecutorSpec, repetitions: int,
-             logs: Optional[Path]) -> Measurement:
+             logs: Optional[Path], sims: dict) -> Measurement:
     """Executes one variant of a checked run and writes its log, which
-    opens with the build diagnostics; a failure fails only its row."""
+    opens with the build diagnostics; a failure fails only its row.
+    `sims` keeps the simulated result, or the simulation error, of each
+    program by `RenderedVariant.key`, so a repeated program replays once."""
     log_lines = ["diagnostic: %s" % d for d in rv.diagnostics]
     log = log_lines.append
     if executor.mode == "simulated":
-        try:
-            sim = simulate_variant(rv, executor.params)
+        if rv.key not in sims:
+            try:
+                sims[rv.key] = simulate_variant(rv, executor.params)
+            except ExploreError as e:
+                sims[rv.key] = str(e)
+        sim = sims[rv.key]
+        if isinstance(sim, str):
+            log("simulation failed: %s" % sim)
+            m = Measurement.failure(rv.name, rv.signature_text, sim)
+        else:
             log("simulated: " + sim.breakdown())
             m = Measurement.from_samples(rv.name, rv.signature_text,
                                          [(sim.time_s * 1000.0, sim.energy_J)])
-        except ExploreError as e:
-            log("simulation failed: %s" % e)
-            m = Measurement.failure(rv.name, rv.signature_text, str(e))
     else:
         work = logs if logs is not None else Path(".")
         m = _run_shell_variant(rv, executor, repetitions, work, log)
@@ -534,11 +537,13 @@ def run_exploration(variants: list[RenderedVariant], executor: ExecutorSpec,
                     repetitions: int = 5,
                     log_dir=None) -> list[Measurement]:
     """One Measurement per variant: the median of `repetitions` shell runs,
-    or the one deterministic simulated sample; a failure fails only its
-    row.  Logs open with the build diagnostics."""
+    or the one deterministic simulated sample, which variants with equal
+    keys share; a failure fails only its row.  Logs open with the build
+    diagnostics."""
     logs = Path(log_dir) if log_dir is not None else None
     _check_run(executor, repetitions, logs)
-    return [_measure(rv, executor, repetitions, logs) for rv in variants]
+    sims = {}
+    return [_measure(rv, executor, repetitions, logs, sims) for rv in variants]
 
 
 def _write_log(logs: Path, filename_sig: str, lines: list[str]):
@@ -568,138 +573,36 @@ def block_plans(unit: SourceUnit,
     return out
 
 
-# A sweep gets one worker per MIN_PER_WORKER variants, up to one per CPU.
-# On a shared 2-vCPU x86 VM (Python 3.11), the first N variants of
-# `table5.c` took, as medians of 12 alternating runs on one worker and on
-# two pinned workers: N = 25, 23 -> 29 ms; N = 100,
-# 50 -> 48 ms (two won 5 of 12); N = 150, 69 -> 62 ms (9 of 12); N = 200,
-# 82 -> 69 ms (12 of 12).  The crossover is 100-150 variants, so two
-# workers start at 200.
-MIN_PER_WORKER = 100
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on; 1 on a platform that cannot say,
-    and so cannot pin a worker to a CPU either."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _worker_count(executor: ExecutorSpec, n_variants: int) -> int:
-    """One worker per CPU for a large simulated sweep, else 1: shell runs
-    are timed and must not overlap, and forking a process that runs other
-    threads is unsafe."""
-    if executor.mode != "simulated" or threading.active_count() > 1:
-        return 1
-    return max(1, min(_cpus(), n_variants // MIN_PER_WORKER))
-
-
-def _in_workers(n: int, work) -> list:
-    """`[work(0), ..., work(n - 1)]`: `work(0)` runs in this process and
-    every other `work(k)` in a forked child, which pickles its result (or
-    its exception) back through a pipe.  Every child is reaped before this
-    returns or raises; a child's exception is raised here, and a child
-    that ends without a result is an ExploreError.
-
-    While the workers run, worker `k` is pinned to the `k`-th allowed CPU:
-    unpinned, the scheduler was seen to keep a forked child on its
-    parent's CPU for the whole of a sub-second sweep."""
-    if n == 1:
-        return [work(0)]
-    allowed = sorted(os.sched_getaffinity(0))
-    pids, pipes, payloads = [], [], None
-    try:
-        for k in range(1, n):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(r)
-                os.sched_setaffinity(0, {allowed[k % len(allowed)]})
-                _child(work, k, w)
-            os.close(w)
-            pids.append(pid)
-            pipes.append(os.fdopen(r, "rb"))
-        os.sched_setaffinity(0, {allowed[0]})
-        results = [work(0)]
-        payloads = [f.read() for f in pipes]
-    finally:
-        os.sched_setaffinity(0, allowed)
-        for f in pipes:
-            f.close()
-        if payloads is None:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for k, (data, status) in enumerate(zip(payloads, statuses), 1):
-        if status != 0 or not data:
-            raise ExploreError("sweep worker %d ended with exit status %d "
-                               "and no result"
-                               % (k, os.waitstatus_to_exitcode(status)))
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
-
-def _child(work, k: int, w: int):
-    """The body of forked worker `k`: writes its pickled outcome to the
-    pipe `w` and exits without returning to the caller's frames."""
-    status = 1
-    try:
-        try:
-            outcome = True, work(k)
-        except Exception as e:
-            outcome = False, e
-        with os.fdopen(w, "wb") as f:
-            pickle.dump(outcome, f, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def explore(unit: SourceUnit, out_dir,
             executor: Optional[ExecutorSpec] = None, repetitions: int = 5,
             cap: int = DEFAULT_VARIANT_CAP,
             lines: Optional[set[int]] = None) -> list[Measurement]:
-    """The whole sweep, one variant at a time: build it, write it into
-    `out_dir/variants` (`manifest.txt` comes last), execute it with a log in
-    `out_dir/logs`, and drop it.  Every program shape is analysed first and
-    shared by its variants.  A variant that fails to build is a failed
-    Measurement logging the diagnostic, with no file or manifest line.
-
-    A large simulated sweep is split across one worker per CPU, worker `k`
-    taking the variants whose index is `k` modulo the worker count; the
-    outputs and the returned list are those of one worker."""
+    """The whole sweep, one variant at a time in index order: build it,
+    write it into `out_dir/variants` (`manifest.txt` comes last), execute
+    it with a log in `out_dir/logs`, and drop it.  Each program shape is
+    analysed once and each distinct directive rendered once, for all the
+    variants that share them, and a simulated sweep replays each distinct
+    program once: a variant that repeats an earlier variant's program
+    reuses its result, or its simulation error.  A variant that fails to
+    build is a failed Measurement logging the diagnostic, with no file or
+    manifest line."""
     executor = executor or ExecutorSpec()
     variants, logs = Path(out_dir) / "variants", Path(out_dir) / "logs"
     unit_variants = plans_for_unit(block_plans(unit, lines), cap=cap)
     _check_run(executor, repetitions, logs)
     variants.mkdir(parents=True, exist_ok=True)
     stem = Path(unit.filename).stem
-    shapes = {}  # at most 3 per check block: baseline, outlined, grouped
+    shapes, texts, sims = {}, {}, {}
+    measurements, manifest = [], []
     for uv in unit_variants:
-        shape_of(unit, uv, shapes=shapes)
-    n = _worker_count(executor, len(unit_variants))
-
-    def sweep(k: int) -> list[tuple[int, Measurement, Optional[str]]]:
-        rows = []
-        for i in range(k, len(unit_variants), n):
-            uv = unit_variants[i]
-            try:
-                rv = build_variant(unit, uv, shapes=shapes)
-            except (TransformError, AnalysisError, PlanError) as e:
-                _write_log(logs, uv.filename_sig, ["not built: %s" % e])
-                rows.append((i, Measurement.failure(
-                    uv.name, uv.signature_text, str(e)), None))
-                continue
-            line = write_variant(rv, stem, variants)
-            rows.append((i, _measure(rv, executor, repetitions, logs), line))
-        return rows
-
-    rows = sorted((row for rows in _in_workers(n, sweep) for row in rows),
-                  key=lambda row: row[0])
-    write_manifest([line for _, _, line in rows if line is not None],
-                   variants)
-    return [m for _, m, _ in rows]
+        try:
+            rv = build_variant(unit, uv, shapes=shapes, texts=texts)
+        except (TransformError, AnalysisError, PlanError) as e:
+            _write_log(logs, uv.filename_sig, ["not built: %s" % e])
+            measurements.append(Measurement.failure(
+                uv.name, uv.signature_text, str(e)))
+            continue
+        manifest.append(write_variant(rv, stem, variants))
+        measurements.append(_measure(rv, executor, repetitions, logs, sims))
+    write_manifest(manifest, variants)
+    return measurements

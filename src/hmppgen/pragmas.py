@@ -225,6 +225,14 @@ class HmppDirective:
 
     # -- rendering ----------------------------------------------------------
 
+    def key(self) -> tuple:
+        """Every field `render` reads: equal keys render equal text."""
+        return (self.kind, self.group, self.label, self.target,
+                tuple((a.name, a.io, a.size, a.addr, a.noupdate)
+                      for a in self.args),
+                self.star_transfer, tuple(self.symbols), self.asynchronous,
+                tuple(self.gridify_dims), self.reduce, self.raw)
+
     def render(self) -> str:
         if self.raw:
             return self.raw

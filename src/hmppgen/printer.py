@@ -101,6 +101,14 @@ class Template:
             parts[self.holes[hole]] = text
         return "".join(parts)
 
+    def key(self, overlay: Overlay) -> tuple:
+        """Names `fill(overlay)` without holding its text: this template,
+        then the part index and text of each filled hole in part order.
+        Equal keys fill to equal text."""
+        filled = sorted((self.holes[hole], text)
+                        for hole, text in overlay.items())
+        return (self, *(x for pair in filled for x in pair))
+
 
 class _Printer:
     def __init__(self):

@@ -599,9 +599,10 @@ def _find_local_ret(body: Block) -> Optional[VarDecl]:
 def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
                  capture: bool) -> tuple[list[Stmt], Optional[str]]:
     """Builds the statements replacing one call in statement `at`, which is
-    at nesting `level`; returns them plus the name of the `_return_<y>`
-    variable when the result is captured."""
+    at nesting `level`, each at `at`'s line; returns them plus the name of
+    the `_return_<y>` variable when the result is captured."""
     y = state.next_index()
+    line = at.line
     fn = state.fn_map[call.func]
     if len(call.args) != len(fn.params):
         raise state.error("call to %r passes %d arguments, expected %d"
@@ -615,10 +616,11 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
                 raise state.error("argument %d of %r must be addressable "
                                   "(reference parameter)" % (x, fn.name), at)
             out.append(DeclStmt([VarDecl(pname, p.elem_type, init=Unary("&", arg),
-                                         pointer=True)], p.elem_type))
+                                         pointer=True)], p.elem_type,
+                                line=line))
         else:
             out.append(DeclStmt([VarDecl(pname, p.elem_type, init=arg)],
-                                p.elem_type))
+                                p.elem_type, line=line))
         mapping[p.name] = (pname, p.reference)
 
     # the rewrites below deepen the copy by at most one level; bounding the
@@ -640,10 +642,10 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
                                          ret.value if ret.value is not None
                                          else Num("0")), line=ret.line)
         body.stmts.insert(0, DeclStmt([VarDecl(ret_name, fn.return_type)],
-                                      fn.return_type))
+                                      fn.return_type, line=line))
         if capture:
             body.stmts.append(ExprStmt(Assign("=", Name(return_var),
-                                              Name(ret_name))))
+                                              Name(ret_name)), line=line))
         result_type = fn.return_type
     else:
         if returns:
@@ -655,10 +657,11 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
                 raise state.error("void function %r used in an expression"
                                   % fn.name, at)
             body.stmts.append(DeclStmt([VarDecl(ret_name, local_ret.elem_type)],
-                                       local_ret.elem_type))
-            body.stmts.append(ExprStmt(Assign("=", Name(ret_name), Name("ret"))))
+                                       local_ret.elem_type, line=line))
+            body.stmts.append(ExprStmt(Assign("=", Name(ret_name), Name("ret")),
+                                       line=line))
             body.stmts.append(ExprStmt(Assign("=", Name(return_var),
-                                              Name(ret_name))))
+                                              Name(ret_name)), line=line))
             result_type = local_ret.elem_type
         else:
             result_type = None
@@ -667,7 +670,8 @@ def _expand_call(call: Call, at: Stmt, level: int, state: _InlineState,
     _inline_block(body, state, level + 1)
 
     if capture:
-        out.append(DeclStmt([VarDecl(return_var, result_type)], result_type))
+        out.append(DeclStmt([VarDecl(return_var, result_type)], result_type,
+                            line=line))
     out.append(body)
     return out, return_var if capture else None
 
@@ -690,10 +694,24 @@ def _inline_stmt(stmt: Stmt, state: _InlineState, level: int) -> list[Stmt]:
     """Expands the target calls in the expressions `stmt` owns, innermost
     first; returns their statements followed by `stmt`, which now reads
     each result from its `_return_<y>`.  A bare call statement is replaced
-    by its expansion, its result discarded."""
+    by its expansion, its result discarded.  A declaration whose later
+    declarator holds a target call is split into one declaration per
+    declarator first, so each expansion follows the declarators it may
+    read."""
+    if isinstance(stmt, DeclStmt) \
+            and _has_target_calls(DeclStmt(stmt.decls[1:]), state):
+        return [s for i, d in enumerate(stmt.decls)
+                for s in _inline_stmt(DeclStmt(
+                    [d], stmt.elem_type, line=stmt.line,
+                    pragmas=stmt.pragmas if i == 0 else []), state, level)]
     out: list[Stmt] = []
 
     def expanded(e: Expr) -> Optional[Expr]:
+        if isinstance(e, BinOp) and e.op in ("&&", "||") and any(
+                state.is_target(c) for c in walk_exprs(e.right)):
+            # hoisting the call would run it whatever the left operand
+            raise state.error("call to inlined function in an unsupported "
+                              "position (right operand of %s)" % e.op, stmt)
         if not state.is_target(e):
             return None
         if not isinstance(stmt, (ExprStmt, DeclStmt, Return)):

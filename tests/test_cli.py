@@ -221,6 +221,22 @@ int main() {
         "outlined block and cannot be inlined"),
     "undefined": ("int main() { return 0; }\n", ["--inline", "nope"],
                   "undefined.c: cannot inline undefined function(s): nope"),
+    # hoisting `g(1)` above its statement would run it although `z` is 0
+    "short_circuit": ("""int printf(const char *, ...);
+int n;
+int g(int x) {
+    n = n + 1;
+    return x;
+}
+int main() {
+    int z = 0;
+    int r = z && g(1);
+    int s = z || g(2);
+    printf("%d %d %d\\n", r, s, n);
+    return 0;
+}
+""", ["--inline", "all"], "short_circuit.c:9: call to inlined function in "
+        "an unsupported position (right operand of &&)"),
 }
 
 

@@ -1,13 +1,10 @@
-import errno
 import gc
 import importlib
 import math
-import os
 import pkgutil
 import random
 import re
 import subprocess
-import threading
 import weakref
 from collections import Counter
 
@@ -26,6 +23,8 @@ from hmppgen.explore import (
     parse_executor_config, run_exploration, simulate_variant, wh_to_joules,
 )
 from hmppgen.parser import parse_translation_unit
+from hmppgen.pragmas import HmppDirective
+from hmppgen.report import Measurement
 from hmppgen.transform import find_omp_blocks
 from hmppgen.variants import (
     Signature, UnitVariant, VariantPlan, decode_signature, plans_for_unit,
@@ -341,6 +340,52 @@ def test_explore_analyses_each_shape_once(tmp_path, monkeypatch):
     assert len(calls) == 5
 
 
+@pytest.mark.parametrize("name, cap", [
+    ("table5.c", 2000), ("pinned_pair.c", 512), ("jacobi_t6.c", 512)])
+def test_every_row_is_its_own_variants_simulation(tmp_path, name, cap):
+    # a row that reuses an earlier program's replay equals a replay of its
+    # own variant, in the row and in the log's `simulated:` line
+    unit = parse_fixture(name)
+    ms = explore(unit, tmp_path, repetitions=1, cap=cap)
+    shapes = {}
+    uvs = plans_for_unit(block_plans(unit), cap=cap)
+    assert len(ms) == len(uvs)
+    for m, uv in zip(ms, uvs):
+        sim = simulate_variant(build_variant(unit, uv, shapes=shapes))
+        assert m == Measurement.from_samples(
+            uv.name, uv.signature_text, [(sim.time_s * 1000.0, sim.energy_J)])
+        log = (tmp_path / "logs" / ("%s.log" % uv.filename_sig)).read_text()
+        assert log.splitlines()[-1] == "simulated: " + sim.breakdown()
+
+
+def test_a_sweep_replays_each_program_and_renders_each_directive_once(
+        tmp_path, monkeypatch):
+    # table5.c: 1,849 variants print 967 distinct programs, and their
+    # 17,996 directives are 71 distinct ones
+    simulate, render = hmppgen.explore.simulate_variant, HmppDirective.render
+    replayed, rendered = [], []
+
+    def counted_simulate(rv, *args):
+        replayed.append(rv.source)
+        return simulate(rv, *args)
+
+    def counted_render(d):
+        rendered.append((d.key(), render(d)))
+        return rendered[-1][1]
+
+    monkeypatch.setattr(hmppgen.explore, "simulate_variant", counted_simulate)
+    monkeypatch.setattr(HmppDirective, "render", counted_render)
+    ms = explore(parse_fixture("table5.c"), tmp_path, repetitions=1, cap=2000)
+    programs = {p.read_text() for p in (tmp_path / "variants").glob("*.c")}
+    assert len(ms) == 1849 and len(programs) == 967
+    assert len(replayed) == len(set(replayed)) == 967
+    # the outlined loops' gridify lines print into each shape's template
+    renders = Counter(key for key, _ in rendered)
+    assert len(renders) == len({text for _, text in rendered}) == 71
+    assert {key[0] for key, n in renders.items() if n > 1} == {"gridify"}
+    assert len(rendered) == 81
+
+
 def test_a_shape_is_walked_once_for_all_its_variants(monkeypatch):
     # once each table5.c shape is analysed, rendering and simulating the
     # rest of its variants walks no statement tree and makes no placement
@@ -440,91 +485,6 @@ def test_explore_checks_its_settings_once(tmp_path, monkeypatch):
     monkeypatch.setattr(hmppgen.explore, "_check_run", counted)
     ms = explore(parse_fixture("gemm64.c"), tmp_path, repetitions=1)
     assert len(ms) > 2 and len(calls) == 1
-
-
-# -- sweep workers ------------------------------------------------------------------
-
-
-def force_workers(monkeypatch, n):
-    """Splits every simulated sweep of at least `n` variants across `n`
-    workers, whatever the host's CPU count."""
-    monkeypatch.setattr(hmppgen.explore, "_cpus", lambda: n)
-    monkeypatch.setattr(hmppgen.explore, "MIN_PER_WORKER", 1)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_worker_count(monkeypatch):
-    monkeypatch.setattr(hmppgen.explore, "_cpus", lambda: 2)
-    count = hmppgen.explore._worker_count
-    least = 2 * hmppgen.explore.MIN_PER_WORKER
-    assert count(ExecutorSpec(), least) == 2
-    assert count(ExecutorSpec(), 100 * least) == 2
-    assert count(ExecutorSpec(), least - 1) == 1
-    shell = ExecutorSpec(mode="shell", build="cc {file} -o {exe}",
-                         energy_cmd="echo 0")
-    assert count(shell, 100 * least) == 1
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert count(ExecutorSpec(), least) == 1
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
-def test_a_worker_exception_is_raised_by_explore(tmp_path, monkeypatch):
-    force_workers(monkeypatch, 2)
-    write, parent = hmppgen.explore.write_variant, os.getpid()
-
-    def full_disk_in_workers(rv, stem, out):
-        if os.getpid() != parent:
-            raise OSError(errno.ENOSPC, "No space left on device",
-                          rv.filename_sig)
-        return write(rv, stem, out)
-
-    monkeypatch.setattr(hmppgen.explore, "write_variant", full_disk_in_workers)
-    with pytest.raises(OSError) as info:
-        explore(parse_fixture("gemm64.c"), tmp_path, repetitions=1)
-    assert info.value.errno == errno.ENOSPC
-    assert_no_child_left()
-
-
-def test_a_worker_that_dies_is_an_explore_error(tmp_path, monkeypatch):
-    force_workers(monkeypatch, 2)
-    write, parent = hmppgen.explore.write_variant, os.getpid()
-
-    def exit_in_workers(rv, stem, out):
-        if os.getpid() != parent:
-            os._exit(3)
-        return write(rv, stem, out)
-
-    monkeypatch.setattr(hmppgen.explore, "write_variant", exit_in_workers)
-    with pytest.raises(ExploreError, match="worker 1 ended with exit status 3"):
-        explore(parse_fixture("gemm64.c"), tmp_path, repetitions=1)
-    assert_no_child_left()
-
-
-def test_an_interrupted_sweep_reaps_its_workers(tmp_path, monkeypatch):
-    force_workers(monkeypatch, 2)
-    write, parent = hmppgen.explore.write_variant, os.getpid()
-
-    def interrupt_here(rv, stem, out):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return write(rv, stem, out)
-
-    monkeypatch.setattr(hmppgen.explore, "write_variant", interrupt_here)
-    allowed = os.sched_getaffinity(0)
-    with pytest.raises(KeyboardInterrupt):
-        explore(parse_fixture("gemm64.c"), tmp_path, repetitions=1)
-    assert_no_child_left()
-    assert os.sched_getaffinity(0) == allowed
 
 
 # -- one name, two declarations -------------------------------------------------

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from hmppgen.errors import TransformError
+from hmppgen.nodes import DeclStmt, ExprStmt, walk_stmts
 from hmppgen.parser import parse_translation_unit
 from hmppgen.printer import print_unit
 from hmppgen.transform import inline_calls_in_place
@@ -191,6 +192,32 @@ def test_nested_calls_expand_innermost_first(tmp_path):
         assert needle in text
     assert cc_run(text, tmp_path, "inlined") == \
         cc_run(load("nested_calls.c"), tmp_path, "original")
+
+
+def test_a_later_declarator_reads_the_earlier_ones(tmp_path):
+    # each call expands after the declarators before it, at its line
+    src = """int printf(const char *, ...);
+int f(int x) {
+    return x * 3;
+}
+int main() {
+    int a = 1, b = f(a), c = f(b) + a;
+    printf("%d %d %d\\n", a, b, c);
+    return 0;
+}
+"""
+    unit = parse_translation_unit(src, "multi.c")
+    inline_calls_in_place(unit, "all")
+    stmts = list(walk_stmts(unit.function("main").body))
+    decls = [s for s in stmts if isinstance(s, DeclStmt)]
+    captures = [s for s in stmts if isinstance(s, ExprStmt)
+                and print_stmt(s).startswith("_return_")]
+    assert len(decls) == 9 and len(captures) == 2
+    assert {s.line for s in decls + captures} == {6}
+    text = print_unit(unit)
+    assert "int a = 1;\n    int _p_0_f_0 = a;" in text
+    assert cc_run(text, tmp_path, "inlined") == cc_run(src, tmp_path,
+                                                       "original")
 
 
 # -- splitting multi-call expressions ----------------------------------------------

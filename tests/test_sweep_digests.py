@@ -19,7 +19,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
-import pytest
 
 DATA = Path(__file__).parent / "data"
 DIGESTS = DATA / "sweeps.sha256"
@@ -85,19 +84,6 @@ def sweep_digests(root: Path, runs=RUNS) -> list[str]:
 def test_sweep_outputs_match_digests(tmp_path):
     expected = DIGESTS.read_text(encoding="utf-8").splitlines()
     assert sweep_digests(tmp_path) == expected
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_table5_outputs_match_on_any_worker_count(tmp_path, monkeypatch,
-                                                  workers):
-    # the whole-suite digest run forks or not depending on the host's CPUs
-    import hmppgen.explore
-    monkeypatch.setattr(hmppgen.explore, "_cpus", lambda: workers)
-    expected = [line for line in
-                DIGESTS.read_text(encoding="utf-8").splitlines()
-                if line.endswith("  table5/**")]
-    runs = [run for run in RUNS if run[0] == "table5"]
-    assert sweep_digests(tmp_path, runs) == expected
 
 
 if __name__ == "__main__":
